@@ -1,6 +1,6 @@
-//! Chaos experiments: seeded device-fault schedules against the
-//! resilient batch engine, A/B-ing retry/re-dispatch recovery against
-//! the fail-the-batch baseline.
+//! Chaos experiments: seeded device-fault schedules against the batch
+//! engine, A/B-ing retry/re-dispatch recovery against the
+//! fail-the-batch baseline (recovery with `redispatch` off).
 //!
 //! The fault schedule is **data**: one sticky loss (device 0 dies a
 //! third of the way into the fault-free makespan) plus a seeded
@@ -17,8 +17,8 @@ use mdls_obs::metrics::Metrics;
 use mdls_obs::Recorder;
 use mdls_pipeline::batch::Disposition;
 use mdls_pipeline::{
-    solve_batch_resilient, BatchReport, DevicePool, DispatchPolicy, Job, MicrobatchConfig,
-    ResilienceConfig, StageSchedConfig,
+    solve_batch_with, AdmissionConfig, BatchReport, DevicePool, EngineConfig, Job, RecoveryPolicy,
+    StageSchedConfig,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -58,9 +58,10 @@ pub fn chaos_jobs(count: usize, seed: u64) -> Vec<Job> {
     jobs
 }
 
-/// One chaos arm: a 4×V100 pool, the given fault schedule, the given
-/// recovery configuration, every event recorded.
-fn run_arm(jobs: &[Job], lost_at: Option<f64>, cfg: &ResilienceConfig) -> (BatchReport, Metrics) {
+/// One chaos arm: a 4×V100 pool, the given fault schedule, staged
+/// booking with admission on and the given recovery policy, every
+/// event recorded.
+fn run_arm(jobs: &[Job], lost_at: Option<f64>, recovery: RecoveryPolicy) -> (BatchReport, Metrics) {
     let mut pool = DevicePool::homogeneous(&Gpu::v100(), 4);
     if let Some(t) = lost_at {
         pool.set_fault_plan(0, FaultPlan::none().with_device_lost(t));
@@ -71,14 +72,13 @@ fn run_arm(jobs: &[Job], lost_at: Option<f64>, cfg: &ResilienceConfig) -> (Batch
     }
     let recorder = Arc::new(Recorder::new());
     pool.attach_observer(recorder.clone());
-    let report = solve_batch_resilient(
-        &mut pool,
-        jobs,
-        DispatchPolicy::LeastLoaded,
-        &MicrobatchConfig::default(),
-        &StageSchedConfig::staged(),
-        cfg,
-    );
+    let cfg = EngineConfig {
+        sched: StageSchedConfig::staged(),
+        admission: AdmissionConfig::default(),
+        recovery,
+        ..EngineConfig::default()
+    };
+    let report = solve_batch_with(&mut pool, jobs, &cfg);
     (report, Metrics::from_events(&recorder.events()))
 }
 
@@ -99,10 +99,14 @@ fn count(r: &BatchReport, d: Disposition) -> usize {
 /// derives from the fault-free makespan, so each arm sees the same
 /// mid-batch loss.
 fn chaos_arms(jobs: &[Job]) -> Vec<(&'static str, BatchReport, Metrics)> {
-    let (base, base_m) = run_arm(jobs, None, &ResilienceConfig::default());
+    let (base, base_m) = run_arm(jobs, None, RecoveryPolicy::default());
     let t = base.makespan_ms * LOSS_FRACTION;
-    let (failed, failed_m) = run_arm(jobs, Some(t), &ResilienceConfig::fail_all());
-    let (recovered, recovered_m) = run_arm(jobs, Some(t), &ResilienceConfig::default());
+    let fail_all = RecoveryPolicy {
+        redispatch: false,
+        ..RecoveryPolicy::default()
+    };
+    let (failed, failed_m) = run_arm(jobs, Some(t), fail_all);
+    let (recovered, recovered_m) = run_arm(jobs, Some(t), RecoveryPolicy::default());
     vec![
         ("fault-free", base, base_m),
         ("fail-all", failed, failed_m),

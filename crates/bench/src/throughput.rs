@@ -2,10 +2,13 @@
 //! precision sweeps over the batched solve service, plus the
 //! greedy-vs-SECT dispatch-policy A/B.
 //!
-//! All runs are model-only — the scheduler books each job's modeled
-//! wall clock onto its device's simulated clock, which is exact for the
-//! functional solver too (the analytic model is data independent), so
-//! these sweeps scale to paper-sized dimensions instantly.
+//! The sweeps are model-only — [`schedule_staged`] books each job's
+//! modeled stages onto its device's simulated timelines, exactly the
+//! booking phase of the batch engine, which is exact for the functional
+//! solver too (the analytic model is data independent), so they scale
+//! to paper-sized dimensions instantly. Every A/B baseline is a
+//! configuration of the one engine: sequential stage booking, fusion
+//! off, or recovery off.
 
 use std::sync::Arc;
 
@@ -14,9 +17,9 @@ use mdls_matrix::HostMat;
 use mdls_obs::metrics::Metrics;
 use mdls_obs::Recorder;
 use mdls_pipeline::{
-    bursty_tracker_jobs, refinement_mix, schedule, schedule_groups, schedule_staged,
-    solve_batch_staged, solve_stream_staged, workload_mix, BatchReport, DevicePool, DispatchPolicy,
-    Job, JobOutcome, JobShape, MicrobatchConfig, Planner, StageSchedConfig,
+    bursty_tracker_jobs, refinement_mix, schedule_staged, solve_batch_with, solve_stream_with,
+    workload_mix, BatchReport, DevicePool, DispatchPolicy, EngineConfig, Job, JobOutcome, JobShape,
+    MicrobatchConfig, Planner, StageSchedConfig,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -40,9 +43,45 @@ fn mixed_shapes(count: usize, target_digits: u32) -> Vec<JobShape> {
         .collect()
 }
 
+/// Model-only schedule of `shapes` under `policy` with sequential
+/// stage booking, fused per `micro`.
+fn schedule(
+    pool: &mut DevicePool,
+    planner: &Planner,
+    shapes: &[JobShape],
+    policy: DispatchPolicy,
+    micro: &MicrobatchConfig,
+) {
+    schedule_staged(
+        pool,
+        planner,
+        shapes,
+        policy,
+        micro,
+        &StageSchedConfig::sequential(),
+    );
+}
+
+/// The engine under stage-level SECT with fusion off and booking
+/// `sched` — the functional arm of the re-booking A/Bs.
+fn staged_sect(sched: &StageSchedConfig) -> EngineConfig {
+    EngineConfig {
+        policy: DispatchPolicy::ShortestExpectedCompletion,
+        micro: MicrobatchConfig::off(),
+        sched: *sched,
+        ..EngineConfig::default()
+    }
+}
+
 fn solves_per_sec(gpu: &Gpu, devices: usize, shapes: &[JobShape], planner: &Planner) -> f64 {
     let mut pool = DevicePool::homogeneous(gpu, devices);
-    schedule(&mut pool, planner, shapes, DispatchPolicy::LeastLoaded);
+    schedule(
+        &mut pool,
+        planner,
+        shapes,
+        DispatchPolicy::LeastLoaded,
+        &MicrobatchConfig::off(),
+    );
     pool.solves_per_sec()
 }
 
@@ -88,7 +127,13 @@ pub fn batch_size_sweep() -> TextTable {
     for depth in [4usize, 16, 64, 256, 1024] {
         let shapes = mixed_shapes(depth, 50);
         let mut pool = DevicePool::homogeneous(&gpu, 4);
-        schedule(&mut pool, &planner, &shapes, DispatchPolicy::LeastLoaded);
+        schedule(
+            &mut pool,
+            &planner,
+            &shapes,
+            DispatchPolicy::LeastLoaded,
+            &MicrobatchConfig::off(),
+        );
         let util: f64 = pool.stats().iter().map(|s| s.utilization).sum::<f64>() / pool.len() as f64;
         t.row(
             format!("{depth}"),
@@ -193,7 +238,7 @@ const MICROBATCH_SHAPES: [(usize, u32, &str); 8] = [
 pub fn microbatch_ab() -> TextTable {
     let gpu = Gpu::v100();
     let planner = Planner::new();
-    // measure exactly the configuration solve_batch_fused ships with
+    // measure exactly the configuration solve_batch ships with
     let cfg = MicrobatchConfig::default();
     let mut t = TextTable::new(
         "Micro-batching A/B on the V100: per-job predicted wall ms, \
@@ -245,9 +290,15 @@ pub fn microbatch_queue_ab(jobs: usize) -> TextTable {
     for devices in [1usize, 2, 4] {
         let planner = Planner::new();
         let mut plain = DevicePool::homogeneous(&Gpu::v100(), devices);
-        schedule(&mut plain, &planner, &shapes, DispatchPolicy::LeastLoaded);
+        schedule(
+            &mut plain,
+            &planner,
+            &shapes,
+            DispatchPolicy::LeastLoaded,
+            &MicrobatchConfig::off(),
+        );
         let mut micro = DevicePool::homogeneous(&Gpu::v100(), devices);
-        schedule_groups(
+        schedule(
             &mut micro,
             &planner,
             &shapes,
@@ -286,7 +337,13 @@ fn ab_pools() -> Vec<(&'static str, Vec<Gpu>)> {
 pub fn policy_makespan(gpus: &[Gpu], shapes: &[JobShape], policy: DispatchPolicy) -> f64 {
     let planner = Planner::new();
     let mut pool = DevicePool::new(gpus.to_vec());
-    schedule(&mut pool, &planner, shapes, policy);
+    schedule(
+        &mut pool,
+        &planner,
+        shapes,
+        policy,
+        &MicrobatchConfig::off(),
+    );
     pool.makespan_ms()
 }
 
@@ -340,13 +397,11 @@ pub fn staged_makespan(gpus: &[Gpu], shapes: &[JobShape], sched: &StageSchedConf
 }
 
 /// Stage-overlap A/B: makespan of the refinement-heavy tracker mix
-/// under per-plan SECT (one opaque interval per job) against
-/// stage-level SECT — first with sequential stage booking (the
-/// control: identical timing, proving stage granularity alone costs
-/// nothing), then with cross-job overlap (the next job's factorization
-/// prep books under the current job's residual/correct passes).
-/// Makespans move; bits never do — every booking mode runs the same
-/// interpreter on the same plans.
+/// under SECT with sequential stage booking (each plan's stages tile
+/// one exclusive interval — the control) against cross-job overlap
+/// (the next job's factorization prep books under the current job's
+/// residual/correct passes). Makespans move; bits never do — every
+/// booking mode runs the same interpreter on the same plans.
 pub fn stage_overlap_ab(jobs: usize) -> TextTable {
     let shapes = refinement_mix(jobs);
     let mut t = TextTable::new(
@@ -356,21 +411,16 @@ pub fn stage_overlap_ab(jobs: usize) -> TextTable {
         ),
         "pool",
     );
-    t.col("per-plan")
-        .col("staged seq")
-        .col("staged overlap")
-        .col("overlap gain");
+    t.col("sequential").col("overlap").col("overlap gain");
     for (name, gpus) in ab_pools() {
-        let per_plan = policy_makespan(&gpus, &shapes, DispatchPolicy::ShortestExpectedCompletion);
         let seq = staged_makespan(&gpus, &shapes, &StageSchedConfig::sequential());
         let overlap = staged_makespan(&gpus, &shapes, &StageSchedConfig::overlap_only());
         t.row(
             name,
             vec![
-                format!("{per_plan:.1}"),
                 format!("{seq:.1}"),
                 format!("{overlap:.1}"),
-                format!("{:+.1}%", 100.0 * (per_plan - overlap) / per_plan),
+                format!("{:+.1}%", 100.0 * (seq - overlap) / seq),
             ],
         );
     }
@@ -423,13 +473,7 @@ pub fn rebooking_ab(jobs: usize) -> TextTable {
     rebook.rebook = true;
     let run = |sched: &StageSchedConfig| {
         let mut pool = DevicePool::new(gpus.clone());
-        let report = solve_batch_staged(
-            &mut pool,
-            &jobs,
-            DispatchPolicy::ShortestExpectedCompletion,
-            &MicrobatchConfig::off(),
-            sched,
-        );
+        let report = solve_batch_with(&mut pool, &jobs, &staged_sect(sched));
         let refunded: f64 = report.outcomes.iter().map(|o| o.refunded_ms).sum();
         (report.makespan_ms, refunded)
     };
@@ -469,13 +513,7 @@ fn staged_observed(gpus: &[Gpu], jobs: &[Job], sched: &StageSchedConfig) -> (Bat
     let mut pool = DevicePool::new(gpus.to_vec());
     let recorder = Arc::new(Recorder::new());
     pool.attach_observer(recorder.clone());
-    let report = solve_batch_staged(
-        &mut pool,
-        jobs,
-        DispatchPolicy::ShortestExpectedCompletion,
-        &MicrobatchConfig::off(),
-        sched,
-    );
+    let report = solve_batch_with(&mut pool, jobs, &staged_sect(sched));
     let metrics = Metrics::from_events(&recorder.events());
     (report, metrics)
 }
@@ -678,28 +716,16 @@ pub fn bursty_deadline_table(jobs: usize) -> TextTable {
         .col("p99 turnaround ms");
     let with_deadline = jobs.iter().filter(|j| j.deadline_ms.is_some()).count();
     for (name, sched) in [
-        ("per-plan booking", None),
-        ("staged online", Some(StageSchedConfig::staged())),
+        ("sequential booking", StageSchedConfig::sequential()),
+        ("staged online", StageSchedConfig::staged()),
     ] {
         let mut pool = DevicePool::new(vec![Gpu::v100(), Gpu::p100()]);
-        let outs: Vec<JobOutcome> = match sched {
-            None => mdls_pipeline::solve_stream_with(
-                &mut pool,
-                jobs.clone(),
-                DispatchPolicy::ShortestExpectedCompletion,
-                8,
-            )
-            .collect(),
-            Some(s) => solve_stream_staged(
-                &mut pool,
-                jobs.clone(),
-                DispatchPolicy::ShortestExpectedCompletion,
-                8,
-                MicrobatchConfig::default(),
-                s,
-            )
-            .collect(),
+        let cfg = EngineConfig {
+            policy: DispatchPolicy::ShortestExpectedCompletion,
+            sched,
+            ..EngineConfig::default()
         };
+        let outs: Vec<JobOutcome> = solve_stream_with(&mut pool, jobs.clone(), 8, &cfg).collect();
         let lat = mdls_pipeline::latency_summary(&outs);
         t.row(
             name,
@@ -749,25 +775,19 @@ mod tests {
     fn stage_overlap_beats_per_plan_sect_by_10_percent() {
         // the acceptance bar: on the 2x V100 + 2x P100 refinement-heavy
         // tracker mix, stage-level booking with cross-job overlap cuts
-        // the SECT makespan by >= 10% vs per-plan booking — and the
-        // sequential-booking control is timing-identical to per-plan,
-        // so the whole win is the overlap, not stage granularity
+        // the SECT makespan by >= 10% vs sequential booking (each
+        // plan's stages tiling one exclusive interval)
         let shapes = refinement_mix(48);
         let mixed = vec![Gpu::v100(), Gpu::v100(), Gpu::p100(), Gpu::p100()];
-        let per_plan = policy_makespan(&mixed, &shapes, DispatchPolicy::ShortestExpectedCompletion);
         let seq = staged_makespan(&mixed, &shapes, &StageSchedConfig::sequential());
         let overlap = staged_makespan(&mixed, &shapes, &StageSchedConfig::overlap_only());
         assert!(
-            (seq - per_plan).abs() < 1e-6 * per_plan,
-            "sequential stage booking {seq:.2} ms drifted from per-plan {per_plan:.2} ms"
-        );
-        assert!(
-            overlap <= 0.90 * per_plan,
-            "overlap {overlap:.1} ms not >=10% under per-plan {per_plan:.1} ms"
+            overlap <= 0.90 * seq,
+            "overlap {overlap:.1} ms not >=10% under sequential {seq:.1} ms"
         );
         // and overlap never loses on any A/B pool
         for (name, gpus) in ab_pools() {
-            let p = policy_makespan(&gpus, &shapes, DispatchPolicy::ShortestExpectedCompletion);
+            let p = staged_makespan(&gpus, &shapes, &StageSchedConfig::sequential());
             let o = staged_makespan(&gpus, &shapes, &StageSchedConfig::overlap_only());
             assert!(
                 o <= p * (1.0 + 1e-9),
@@ -789,13 +809,7 @@ mod tests {
         let gpus = vec![Gpu::v100(), Gpu::v100(), Gpu::p100(), Gpu::p100()];
         let run = |sched: &StageSchedConfig| {
             let mut pool = DevicePool::new(gpus.clone());
-            let report = solve_batch_staged(
-                &mut pool,
-                &jobs,
-                DispatchPolicy::ShortestExpectedCompletion,
-                &MicrobatchConfig::off(),
-                sched,
-            );
+            let report = solve_batch_with(&mut pool, &jobs, &staged_sect(sched));
             let refunded: f64 = report.outcomes.iter().map(|o| o.refunded_ms).sum();
             (report.makespan_ms, refunded)
         };
@@ -834,14 +848,7 @@ mod tests {
             let jobs = refund_heavy_jobs(12, seed);
             let run = |sched: &StageSchedConfig| {
                 let mut pool = DevicePool::new(gpus.clone());
-                solve_batch_staged(
-                    &mut pool,
-                    &jobs,
-                    DispatchPolicy::ShortestExpectedCompletion,
-                    &MicrobatchConfig::off(),
-                    sched,
-                )
-                .makespan_ms
+                solve_batch_with(&mut pool, &jobs, &staged_sect(sched)).makespan_ms
             };
             let tail_ms = run(&tail);
             let compact_ms = run(&compact);
@@ -932,9 +939,15 @@ mod tests {
             })
             .collect();
         let mut plain = DevicePool::homogeneous(&gpu, 1);
-        schedule(&mut plain, &planner, &shapes, DispatchPolicy::LeastLoaded);
+        schedule(
+            &mut plain,
+            &planner,
+            &shapes,
+            DispatchPolicy::LeastLoaded,
+            &MicrobatchConfig::off(),
+        );
         let mut micro = DevicePool::homogeneous(&gpu, 1);
-        schedule_groups(
+        schedule(
             &mut micro,
             &planner,
             &shapes,

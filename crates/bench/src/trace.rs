@@ -10,7 +10,7 @@
 //! V100 + P100 pool with micro-batching and stage-level scheduling —
 //! the configuration that exercises every emit point: plan-cache
 //! traffic, SECT previews, group formation, deadline caps, stage
-//! bookings, refunds, holds, pass extensions and settlements.
+//! bookings, refunds, pass extensions and settlements.
 
 use std::sync::Arc;
 
@@ -18,8 +18,8 @@ use gpusim::Gpu;
 use mdls_obs::metrics::Metrics;
 use mdls_obs::{trace as obs_trace, Recorder};
 use mdls_pipeline::{
-    jobs_for_shapes, solve_stream_staged, DevicePool, DispatchPolicy, Job, JobOutcome, JobShape,
-    MicrobatchConfig, StageSchedConfig,
+    jobs_for_shapes, solve_stream_with, DevicePool, DispatchPolicy, EngineConfig, Job, JobOutcome,
+    JobShape, StageSchedConfig,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -29,7 +29,7 @@ use crate::tables::TextTable;
 /// Jobs per arrival burst (and the stream's reorder window).
 const BURST: usize = 6;
 /// Burst cadence, ms — wide enough that the pool occasionally drains
-/// a burst early, so release holds show up in the trace.
+/// a burst early, so release-time idle gaps show up in the trace.
 const GAP_MS: f64 = 40.0;
 
 /// Calibration buckets shown in the summary table (the full set is
@@ -53,7 +53,7 @@ pub struct TraceReport {
 /// same embedding). Four loose predictors per burst fuse into one
 /// micro-batched group; the two deep deadline-tagged correctors run
 /// refinement plans — so the recording carries fused groups, release
-/// holds, refunds and deadline pressure, not just settlements.
+/// gaps, refunds and deadline pressure, not just settlements.
 fn traced_jobs(count: usize, rng: &mut StdRng) -> Vec<Job> {
     let shapes: Vec<JobShape> = (0..count)
         .map(|i| {
@@ -100,15 +100,12 @@ pub fn trace_report(count: usize) -> TraceReport {
         book_expected: false,
         ..StageSchedConfig::staged()
     };
-    let outs: Vec<JobOutcome> = solve_stream_staged(
-        &mut pool,
-        jobs,
-        DispatchPolicy::ShortestExpectedCompletion,
-        BURST,
-        MicrobatchConfig::default(),
+    let cfg = EngineConfig {
+        policy: DispatchPolicy::ShortestExpectedCompletion,
         sched,
-    )
-    .collect();
+        ..EngineConfig::default()
+    };
+    let outs: Vec<JobOutcome> = solve_stream_with(&mut pool, jobs, BURST, &cfg).collect();
     assert_eq!(outs.len(), n_jobs);
 
     let events = recorder.events();
@@ -159,7 +156,7 @@ fn latency_table(m: &Metrics, jobs: usize, makespan_ms: f64) -> TextTable {
 fn counter_table(m: &Metrics) -> TextTable {
     let mut t = TextTable::new("Pipeline counters (recorded events)", "counter");
     t.col("value");
-    let rows: [(&str, String); 12] = [
+    let rows: [(&str, String); 11] = [
         ("jobs settled", format!("{}", m.jobs)),
         ("jobs in fused groups", format!("{}", m.fused_jobs)),
         ("fused groups formed", format!("{}", m.fused_groups)),
@@ -173,7 +170,6 @@ fn counter_table(m: &Metrics) -> TextTable {
             format!("{} ({:.1})", m.refunds, m.refunded_ms),
         ),
         ("pass extensions", format!("{}", m.extensions)),
-        ("release holds", format!("{}", m.holds)),
         (
             "plan cache hits / misses",
             format!("{} / {}", m.plan_cache_hits, m.plan_cache_misses),

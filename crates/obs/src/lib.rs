@@ -137,14 +137,6 @@ pub enum Event {
         dev_start_ms: f64,
         dev_end_ms: f64,
     },
-    /// A whole-plan (non-staged) commitment of `jobs` fused jobs on
-    /// `device`'s compute lane.
-    PlanSpan {
-        device: usize,
-        jobs: usize,
-        start_ms: f64,
-        end_ms: f64,
-    },
     /// An online re-book freed `device`'s lanes from plan stage
     /// `from_stage`: `freed_ms` of booked wall clock came off the
     /// timelines (the booking's executed work ends at `at_ms`),
@@ -198,9 +190,6 @@ pub enum Event {
         wait_ms: f64,
         at_ms: f64,
     },
-    /// `device`'s lanes were held to `until_ms` for a not-yet-arrived
-    /// release time.
-    Held { device: usize, until_ms: f64 },
     /// An adaptive job stalled above target and extended one
     /// correction pass past its plan (`pass` is 1-based); the extra
     /// residual/correct pair was booked ending at `end_ms`.

@@ -191,8 +191,6 @@ pub struct Metrics {
     pub staging_wait_ms: f64,
     /// Adaptive correction passes booked past their plan.
     pub extensions: u64,
-    /// Release-time holds placed on device lanes.
-    pub holds: u64,
     /// Planner memo cache traffic.
     pub plan_cache_hits: u64,
     pub plan_cache_misses: u64,
@@ -295,7 +293,6 @@ impl Metrics {
                     m.staging_wait_ms += wait_ms;
                 }
                 Event::PassExtended { .. } => m.extensions += 1,
-                Event::Held { .. } => m.holds += 1,
                 Event::PlanCacheHit { .. } => m.plan_cache_hits += 1,
                 Event::PlanCacheMiss { .. } => m.plan_cache_misses += 1,
                 Event::FusedMemoHit { .. } => m.fused_memo_hits += 1,
@@ -335,7 +332,6 @@ impl Metrics {
                 }
                 Event::Device { .. }
                 | Event::StageBooked { .. }
-                | Event::PlanSpan { .. }
                 | Event::StagingWorker { .. }
                 | Event::StagingBooked { .. } => {}
             }

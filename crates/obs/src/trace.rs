@@ -4,9 +4,9 @@
 //! Each pool device becomes a trace *process* (named from its
 //! [`Event::Device`] event) with two *threads* — track `prep` (tid 0)
 //! for the host/prep lane and track `compute` (tid 1) for the device
-//! lane. Stage bookings render as duration slices on both lanes, plan
-//! spans as compute slices, and refunds / holds / extensions /
-//! deadline misses / gap fills / compactions as instant markers, so a
+//! lane. Stage bookings render as duration slices on both lanes, and
+//! refunds / extensions / deadline misses / gap fills / compactions as
+//! instant markers, so a
 //! staged schedule's overlap and reclaimed holes are visually
 //! inspectable. The pool-wide host staging workers render as one extra
 //! process ([`STAGING_PID`]) with a thread per worker, carrying every
@@ -163,21 +163,6 @@ pub fn chrome_trace(events: &[Event]) -> String {
                     &args,
                 );
             }
-            Event::PlanSpan {
-                device,
-                jobs,
-                start_ms,
-                end_ms,
-            } => {
-                lines.slice(
-                    device,
-                    TID_COMPUTE,
-                    &format!("solve x{jobs}"),
-                    start_ms,
-                    end_ms,
-                    &format!("\"jobs\":{jobs}"),
-                );
-            }
             Event::Refund {
                 device,
                 from_stage,
@@ -195,9 +180,6 @@ pub fn chrome_trace(events: &[Event]) -> String {
                          \"refunded_ms\":{refunded_ms}"
                     ),
                 );
-            }
-            Event::Held { device, until_ms } => {
-                lines.instant(device, TID_PREP, "hold", until_ms, "");
             }
             Event::GapFilled {
                 device,
@@ -451,11 +433,16 @@ mod tests {
                 dev_start_ms: 0.4,
                 dev_end_ms: 1.9,
             },
-            Event::PlanSpan {
+            Event::StageBooked {
                 device: 1,
-                jobs: 3,
-                start_ms: 0.0,
-                end_ms: 2.5,
+                job: 8,
+                stage: 0,
+                kind: StageKind::Factor,
+                rung: "d4",
+                host_start_ms: 0.0,
+                host_end_ms: 0.2,
+                dev_start_ms: 0.2,
+                dev_end_ms: 2.5,
             },
             Event::Refund {
                 device: 0,
@@ -471,7 +458,7 @@ mod tests {
     fn export_round_trips_and_names_every_lane() {
         let doc = chrome_trace(&sample());
         let slices = validate_trace(&doc, 2).expect("trace must validate");
-        assert_eq!(slices, 3, "factor prep + factor compute + plan span");
+        assert_eq!(slices, 4, "factor prep + factor compute on each device");
     }
 
     #[test]

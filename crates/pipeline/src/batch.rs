@@ -1,10 +1,14 @@
 //! The batched solve service: plan, schedule, execute, aggregate.
 //!
 //! [`solve_batch`] is the pipeline's public entry point: it takes a
-//! device pool and a batch of [`Job`]s, schedules every job over the
-//! pool (see [`crate::scheduler`]), runs each job's [`ExecPlan`]
-//! through the **stage interpreter** [`solve_planned`], and returns
-//! per-job outcomes plus pool-level throughput.
+//! device pool and a batch of [`Job`]s, books every job's stages over
+//! the pool (see [`crate::microbatch`] and [`crate::scheduler`]), runs
+//! each job's [`ExecPlan`] through the **stage interpreter**
+//! [`solve_planned`], and returns per-job outcomes plus pool-level
+//! throughput. [`solve_batch_with`] takes an [`EngineConfig`] — the one
+//! struct that carries every engine knob (placement policy, fusion,
+//! stage booking, admission, fault recovery) for the batch and stream
+//! engines alike.
 //!
 //! The interpreter executes a plan's stages in order, *functionally*
 //! (real multiple double arithmetic on the simulator):
@@ -33,7 +37,7 @@
 
 use std::any::{Any, TypeId};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use gpusim::{ExecMode, Gpu, Sim};
@@ -43,12 +47,16 @@ use multidouble::{convert_real, Dd, MdReal, Od, Qd};
 
 use crate::job::{Job, Precision, Solution, TenantId};
 use crate::microbatch::{
-    dispatch_group_staged, plan_groups, schedule_groups, GroupDispatch, MicrobatchConfig,
+    dispatch_group_staged, partition, placement_order, GroupDispatch, MicrobatchConfig,
 };
 use crate::plan::ExecPlan;
 use crate::planner::{PlanCacheStats, Planner};
 use crate::pool::{DevicePool, DeviceStats, RebookMode};
-use crate::scheduler::{schedule, DispatchPolicy, JobShape, StageSchedConfig};
+use crate::resilient::{
+    admit_job, emit_degraded, recover_losses, replay_transients, shed_at_ingress,
+    tombstone_outcome, AdmissionConfig, AdmissionDecision, RecoveryPolicy,
+};
+use crate::scheduler::{DispatchPolicy, JobShape, StageSchedConfig};
 use mdls_obs::Event;
 
 /// How one job's service terminated. Every [`JobOutcome`] carries
@@ -135,8 +143,7 @@ pub struct JobOutcome {
     /// This job's equal share of stage time booked *beyond* the
     /// group's original booking, ms: expected-pass booking that had to
     /// grow to the actual pass count, or extra passes a stalled job ran
-    /// past its plan (see [`solve_batch_staged`]). Zero on the per-plan
-    /// paths.
+    /// past its plan (see [`StageSchedConfig::max_extra_passes`]).
     pub extended_ms: f64,
     /// The job's scheduling priority, carried through from [`Job`] so
     /// latency summaries can slice by class.
@@ -146,10 +153,9 @@ pub struct JobOutcome {
     pub release_ms: f64,
     /// The job's completion deadline, if it had one.
     pub deadline_ms: Option<f64>,
-    /// How the job's service terminated (see [`Disposition`]). The
-    /// fault-free engines always report [`Disposition::Ok`]; the
-    /// resilient engine patches in the terminal state recovery and
-    /// admission actually reached.
+    /// How the job's service terminated (see [`Disposition`]): the
+    /// terminal state admission and fault recovery actually reached —
+    /// [`Disposition::Ok`] on a quiet pool without deadlines.
     pub disposition: Disposition,
     /// The digits the caller originally asked for. Equal to
     /// `plan.target_digits` unless admission down-laddered the job
@@ -166,7 +172,7 @@ pub struct JobOutcome {
 /// residual, and how many refinement passes actually ran (the adaptive
 /// stop may finish under the plan's booked count).
 #[derive(Clone, Debug)]
-pub struct PlannedSolve {
+pub(crate) struct PlannedSolve {
     /// The minimizer, at the plan's solution precision.
     pub x: Solution,
     /// Relative residual at the solution rung.
@@ -176,22 +182,18 @@ pub struct PlannedSolve {
 }
 
 impl JobOutcome {
-    /// Assemble a whole group's outcomes from its dispatch slot and the
-    /// interpreter's results (shared by the batch and stream paths),
-    /// one per member in group order. The adaptive refund is computed
-    /// here, at group granularity: a fused stage runs as long as any
-    /// member still iterates, so only the tail every member skipped is
-    /// provably unexecuted — that tail's booked time is split equally
-    /// among the members. (A singleton group degenerates to refunding
-    /// exactly its own skipped stages.)
+    /// Assemble a whole group's outcomes from its settled dispatch and
+    /// the interpreter's results (shared by every engine), one per
+    /// member in group order, each carrying the group's per-job
+    /// `(refunded, extended)` shares from [`settle_staged_dispatch`].
     pub(crate) fn assemble_group(
         members: &[&Job],
         g: &GroupDispatch,
         solved: Vec<PlannedSolve>,
+        refunded_ms: f64,
+        extended_ms: f64,
     ) -> Vec<JobOutcome> {
         assert_eq!(members.len(), solved.len());
-        let group_passes = solved.iter().map(|s| s.corrections_run).max().unwrap_or(0);
-        let refunded_ms = g.fused.per_job_tail_ms(2 + 2 * group_passes);
         members
             .iter()
             .zip(solved)
@@ -207,7 +209,7 @@ impl JobOutcome {
                 fused_group: g.jobs.len(),
                 corrections_run: s.corrections_run,
                 refunded_ms,
-                extended_ms: 0.0,
+                extended_ms,
                 priority: job.priority,
                 release_ms: job.release(),
                 deadline_ms: job.deadline_ms,
@@ -272,17 +274,10 @@ pub fn latency_summary(outcomes: &[JobOutcome]) -> LatencySummary {
         .map(JobOutcome::turnaround_ms)
         .collect();
     turnaround.sort_by(f64::total_cmp);
-    let pct = |q: f64| -> f64 {
-        if turnaround.is_empty() {
-            return 0.0;
-        }
-        let rank = ((q * turnaround.len() as f64).ceil() as usize).clamp(1, turnaround.len());
-        turnaround[rank - 1]
-    };
     LatencySummary {
-        p50_ms: pct(0.50),
-        p99_ms: pct(0.99),
-        p999_ms: pct(0.999),
+        p50_ms: nearest_rank(&turnaround, 0.50),
+        p99_ms: nearest_rank(&turnaround, 0.99),
+        p999_ms: nearest_rank(&turnaround, 0.999),
         deadline_misses: outcomes.iter().filter(|o| o.missed_deadline()).count(),
         shed: outcomes
             .iter()
@@ -293,6 +288,15 @@ pub fn latency_summary(outcomes: &[JobOutcome]) -> LatencySummary {
             .filter(|o| o.disposition == Disposition::Failed)
             .count(),
     }
+}
+
+/// Nearest-rank `q` quantile of an ascending sample (0 when empty).
+pub(crate) fn nearest_rank(sorted: &[f64], q: f64) -> f64 {
+    if sorted.is_empty() {
+        return 0.0;
+    }
+    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
+    sorted[rank - 1]
 }
 
 /// Outcomes plus aggregates for one batch.
@@ -322,7 +326,7 @@ pub struct BatchReport {
     /// [`promoted_cache_stats`]).
     pub plan_cache: PlanCacheStats,
     /// Number of micro-batched fused groups (of ≥ 2 jobs) this batch
-    /// ran; 0 on the unfused paths.
+    /// ran; 0 with fusion off.
     pub fused_groups: usize,
     /// Turnaround percentiles and deadline misses over `outcomes`,
     /// computed once via [`latency_summary`].
@@ -675,314 +679,342 @@ fn refine_through<F: MdReal, H: MdReal>(
     (x, residual, passes)
 }
 
-/// Interpret one job's staged plan on a device model, reporting the
-/// adaptive trace. This is exactly what the batch executor does per
-/// unfused job — exposed so callers (and the equivalence property
-/// test) can reproduce any batch result with a single sequential
-/// interpretation.
-pub fn solve_planned_traced(gpu: &Gpu, job: &Job, plan: &ExecPlan) -> PlannedSolve {
-    solve_planned_traced_with(gpu, job, plan, 0)
-}
-
-/// [`solve_planned_traced`] with pass extension: a refinement whose
-/// residual stalls above target at the plan's structural pass count
-/// may run up to `extra_passes` further residual/correct pairs while
-/// each still improves the measured residual. `extra_passes = 0` is
-/// bit-identical to the legacy interpreter.
-pub fn solve_planned_traced_with(
-    gpu: &Gpu,
-    job: &Job,
-    plan: &ExecPlan,
-    extra_passes: usize,
-) -> PlannedSolve {
-    use Precision::{D1, D2, D4, D8};
-    fn direct<S: MdReal>(
-        gpu: &Gpu,
-        job: &Job,
-        plan: &ExecPlan,
-        wrap: fn(Vec<S>) -> Solution,
-    ) -> PlannedSolve {
-        let (x, residual) = direct_as::<S>(gpu, job, plan);
-        PlannedSolve {
-            x: wrap(x),
-            residual,
-            corrections_run: 0,
-        }
-    }
-    fn refine<F: MdReal, H: MdReal>(
-        gpu: &Gpu,
-        job: &Job,
-        plan: &ExecPlan,
-        extra_passes: usize,
-        wrap: fn(Vec<H>) -> Solution,
-    ) -> PlannedSolve {
-        let (x, residual, corrections_run) = refine_as::<F, H>(gpu, job, plan, extra_passes);
-        PlannedSolve {
-            x: wrap(x),
-            residual,
-            corrections_run,
-        }
-    }
-    let e = extra_passes;
-    match (plan.factor_precision(), plan.solution_precision()) {
-        (D1, D1) => direct::<f64>(gpu, job, plan, Solution::D1),
-        (D2, D2) => direct::<Dd>(gpu, job, plan, Solution::D2),
-        (D4, D4) => direct::<Qd>(gpu, job, plan, Solution::D4),
-        (D8, D8) => direct::<Od>(gpu, job, plan, Solution::D8),
-        (D1, D2) => refine::<f64, Dd>(gpu, job, plan, e, Solution::D2),
-        (D1, D4) => refine::<f64, Qd>(gpu, job, plan, e, Solution::D4),
-        (D1, D8) => refine::<f64, Od>(gpu, job, plan, e, Solution::D8),
-        (D2, D4) => refine::<Dd, Qd>(gpu, job, plan, e, Solution::D4),
-        (D2, D8) => refine::<Dd, Od>(gpu, job, plan, e, Solution::D8),
-        (D4, D8) => refine::<Qd, Od>(gpu, job, plan, e, Solution::D8),
-        (f, s) => unreachable!("invalid plan rungs: factor {f:?} above solution {s:?}"),
-    }
-}
-
-/// Interpret one job's staged plan on a device model — the
-/// solution-and-residual view of [`solve_planned_traced`].
+/// Interpret one job's staged plan on a device model: the reference
+/// interpreter every engine outcome is bit-identical to. The batch,
+/// stream and service engines run exactly this arithmetic per job
+/// (fused groups pack launches, never change it), so callers — and the
+/// equivalence property tests — can reproduce any engine result with a
+/// single sequential interpretation.
 pub fn solve_planned(gpu: &Gpu, job: &Job, plan: &ExecPlan) -> (Solution, f64) {
-    let s = solve_planned_traced(gpu, job, plan);
+    let s = execute_group(gpu, &[job], plan, 0)
+        .pop()
+        .expect("a singleton group solves one job");
     (s.x, s.residual)
 }
 
-/// Interpret one plan over a fused group of same-shaped jobs: one
-/// micro-batched factor phase, per-member solves and (adaptive)
-/// refinement loops. Returns one [`PlannedSolve`] per member, in
-/// order. Every member's result is bit-identical to
-/// [`solve_planned_traced`] of that job alone — fusing packs launches,
-/// it never changes arithmetic.
-pub fn solve_planned_fused(gpu: &Gpu, jobs: &[&Job], plan: &ExecPlan) -> Vec<PlannedSolve> {
-    solve_planned_fused_with(gpu, jobs, plan, 0)
-}
-
-/// [`solve_planned_fused`] with pass extension (see
-/// [`solve_planned_traced_with`]): members extend independently, each
-/// driven by its own measured residual.
-pub fn solve_planned_fused_with(
+/// Execute one dispatch group: interpret `plan` for every member, one
+/// [`PlannedSolve`] each, in order — the one execution step every
+/// engine (batch, stream, service) runs between booking and settling.
+/// A group of one runs the singleton launch sequence; a larger group
+/// runs one micro-batched factor phase and per-member solves and
+/// (adaptive) refinement loops, every member bit-identical to its
+/// singleton run. A refinement whose residual stalls above target at
+/// the plan's structural pass count may run up to `extra_passes`
+/// further residual/correct pairs while each still improves the
+/// measured residual (members extend independently); `extra_passes = 0`
+/// stops at the plan.
+pub(crate) fn execute_group(
     gpu: &Gpu,
-    jobs: &[&Job],
+    members: &[&Job],
     plan: &ExecPlan,
     extra_passes: usize,
 ) -> Vec<PlannedSolve> {
     use Precision::{D1, D2, D4, D8};
-    fn direct<S: MdReal>(
-        gpu: &Gpu,
-        jobs: &[&Job],
-        plan: &ExecPlan,
-        wrap: fn(Vec<S>) -> Solution,
-    ) -> Vec<PlannedSolve> {
-        direct_fused_as::<S>(gpu, jobs, plan)
-            .into_iter()
-            .map(|(x, residual)| PlannedSolve {
-                x: wrap(x),
-                residual,
-                corrections_run: 0,
-            })
-            .collect()
-    }
-    fn refine<F: MdReal, H: MdReal>(
-        gpu: &Gpu,
-        jobs: &[&Job],
-        plan: &ExecPlan,
-        extra_passes: usize,
-        wrap: fn(Vec<H>) -> Solution,
-    ) -> Vec<PlannedSolve> {
-        refine_fused_as::<F, H>(gpu, jobs, plan, extra_passes)
-            .into_iter()
-            .map(|(x, residual, corrections_run)| PlannedSolve {
-                x: wrap(x),
-                residual,
-                corrections_run,
-            })
-            .collect()
-    }
     let e = extra_passes;
+    let m = members;
     match (plan.factor_precision(), plan.solution_precision()) {
-        (D1, D1) => direct::<f64>(gpu, jobs, plan, Solution::D1),
-        (D2, D2) => direct::<Dd>(gpu, jobs, plan, Solution::D2),
-        (D4, D4) => direct::<Qd>(gpu, jobs, plan, Solution::D4),
-        (D8, D8) => direct::<Od>(gpu, jobs, plan, Solution::D8),
-        (D1, D2) => refine::<f64, Dd>(gpu, jobs, plan, e, Solution::D2),
-        (D1, D4) => refine::<f64, Qd>(gpu, jobs, plan, e, Solution::D4),
-        (D1, D8) => refine::<f64, Od>(gpu, jobs, plan, e, Solution::D8),
-        (D2, D4) => refine::<Dd, Qd>(gpu, jobs, plan, e, Solution::D4),
-        (D2, D8) => refine::<Dd, Od>(gpu, jobs, plan, e, Solution::D8),
-        (D4, D8) => refine::<Qd, Od>(gpu, jobs, plan, e, Solution::D8),
+        (D1, D1) => interpret::<f64, f64>(gpu, m, plan, e, Solution::D1),
+        (D2, D2) => interpret::<Dd, Dd>(gpu, m, plan, e, Solution::D2),
+        (D4, D4) => interpret::<Qd, Qd>(gpu, m, plan, e, Solution::D4),
+        (D8, D8) => interpret::<Od, Od>(gpu, m, plan, e, Solution::D8),
+        (D1, D2) => interpret::<f64, Dd>(gpu, m, plan, e, Solution::D2),
+        (D1, D4) => interpret::<f64, Qd>(gpu, m, plan, e, Solution::D4),
+        (D1, D8) => interpret::<f64, Od>(gpu, m, plan, e, Solution::D8),
+        (D2, D4) => interpret::<Dd, Qd>(gpu, m, plan, e, Solution::D4),
+        (D2, D8) => interpret::<Dd, Od>(gpu, m, plan, e, Solution::D8),
+        (D4, D8) => interpret::<Qd, Od>(gpu, m, plan, e, Solution::D8),
         (f, s) => unreachable!("invalid plan rungs: factor {f:?} above solution {s:?}"),
     }
 }
 
-/// Solve a batch of jobs over the pool under the default
-/// [`DispatchPolicy::LeastLoaded`], using up to
-/// `available_parallelism` host worker threads for the functional
-/// execution.
+/// [`execute_group`] at concrete rungs: factor at `F`, solve at `H` —
+/// a direct solve when the two rungs coincide, a refinement otherwise.
+fn interpret<F: MdReal, H: MdReal>(
+    gpu: &Gpu,
+    members: &[&Job],
+    plan: &ExecPlan,
+    extra_passes: usize,
+    wrap: fn(Vec<H>) -> Solution,
+) -> Vec<PlannedSolve> {
+    let solve = |(x, residual, corrections_run): (Vec<H>, f64, usize)| PlannedSolve {
+        x: wrap(x),
+        residual,
+        corrections_run,
+    };
+    if plan.factor_precision() == plan.solution_precision() {
+        let direct: Vec<(Vec<H>, f64)> = match members {
+            [job] => vec![direct_as::<H>(gpu, job, plan)],
+            _ => direct_fused_as::<H>(gpu, members, plan),
+        };
+        direct.into_iter().map(|(x, r)| solve((x, r, 0))).collect()
+    } else {
+        match members {
+            [job] => vec![solve(refine_as::<F, H>(gpu, job, plan, extra_passes))],
+            _ => refine_fused_as::<F, H>(gpu, members, plan, extra_passes)
+                .into_iter()
+                .map(solve)
+                .collect(),
+        }
+    }
+}
+
+/// Run `work` over every item on `workers` scoped host threads that
+/// pull the next unclaimed index (work stealing), returning results in
+/// item order. Execution is purely functional — the same interpreter
+/// against immutable device models — so the worker count can never
+/// perturb bits, placements or events; it only shortens host wall time.
+/// One worker runs everything on the calling thread.
+pub(crate) fn execute_all<T: Sync, R: Send>(
+    items: &[T],
+    workers: usize,
+    work: impl Fn(&T) -> R + Sync,
+) -> Vec<R> {
+    let workers = workers.max(1).min(items.len());
+    if workers <= 1 {
+        return items.iter().map(work).collect();
+    }
+    let next = AtomicUsize::new(0);
+    let done: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(items.len()));
+    std::thread::scope(|scope| {
+        for _ in 0..workers {
+            scope.spawn(|| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(item) = items.get(i) else { break };
+                let r = work(item);
+                done.lock()
+                    .expect("a worker panicked holding the result list")
+                    .push((i, r));
+            });
+        }
+    });
+    let mut done = done
+        .into_inner()
+        .expect("a worker panicked holding the result list");
+    done.sort_unstable_by_key(|(i, _)| *i);
+    done.into_iter().map(|(_, r)| r).collect()
+}
+
+/// Every independently settable knob of the batch and stream engines.
 ///
-/// Device micro-batching is **on by default**: jobs sharing a shape
-/// key fuse into batched launch sequences at the occupancy sweet spot
-/// (bit-identical to solving each job alone — fusing packs launches,
-/// never changes arithmetic). Pass [`MicrobatchConfig::off`] through
-/// [`solve_batch_fused`] to reproduce the legacy per-job launch
-/// timing.
-pub fn solve_batch(pool: &mut DevicePool, jobs: &[Job]) -> BatchReport {
-    solve_batch_policy(pool, jobs, DispatchPolicy::LeastLoaded)
+/// Each "off" has one representation: fusion off is
+/// [`MicrobatchConfig::off`], admission off is
+/// `AdmissionConfig { enabled: false, .. }`, and fault recovery only
+/// ever acts on pools that carry a fault plan (on a quiet pool its
+/// steps find nothing to do).
+#[derive(Clone, Copy, Debug)]
+pub struct EngineConfig {
+    /// Device selection for each dispatch group.
+    pub policy: DispatchPolicy,
+    /// Device micro-batching of same-shaped jobs.
+    pub micro: MicrobatchConfig,
+    /// How each group's stages book on the timelines.
+    pub sched: StageSchedConfig,
+    /// Deadline admission at ingress (shed or down-ladder).
+    pub admission: AdmissionConfig,
+    /// What a faulty pool's sticky losses and transients cost.
+    pub recovery: RecoveryPolicy,
 }
 
-/// [`solve_batch`] with an explicit dispatch policy
-/// (`DispatchPolicy::ShortestExpectedCompletion` pays off on
-/// heterogeneous pools; solutions are bit-identical either way).
-/// Micro-batching is on by default, like [`solve_batch`].
-pub fn solve_batch_policy(
-    pool: &mut DevicePool,
-    jobs: &[Job],
-    policy: DispatchPolicy,
-) -> BatchReport {
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4);
-    solve_batch_with(pool, jobs, workers, policy)
+impl Default for EngineConfig {
+    /// [`solve_batch`]'s configuration: least-loaded placement, fusion
+    /// on, contiguous stage booking, admission off, recovery on.
+    fn default() -> Self {
+        EngineConfig {
+            policy: DispatchPolicy::LeastLoaded,
+            micro: MicrobatchConfig::default(),
+            sched: StageSchedConfig::sequential(),
+            admission: AdmissionConfig {
+                enabled: false,
+                ..AdmissionConfig::default()
+            },
+            recovery: RecoveryPolicy::default(),
+        }
+    }
 }
 
-/// [`solve_batch`] with an explicit host worker-thread count
-/// (`host_threads = 1` executes jobs on the calling thread) and
-/// dispatch policy. The spawned worker count is clamped to
-/// `min(host_threads, jobs.len())` — a tiny batch never pays for a
-/// full `available_parallelism` thread set. Micro-batching is on by
-/// default, like [`solve_batch`].
-pub fn solve_batch_with(
-    pool: &mut DevicePool,
-    jobs: &[Job],
-    host_threads: usize,
-    policy: DispatchPolicy,
-) -> BatchReport {
-    solve_batch_engine(
-        pool,
-        jobs,
-        host_threads,
-        policy,
-        Some(&MicrobatchConfig::default()),
-    )
-}
-
-/// [`solve_batch`] with device-level micro-batching: jobs sharing a
-/// shape key fuse into batched launch sequences sized at the occupancy
-/// sweet spot, and the scheduler books one fused profile per group
-/// instead of `k` singletons (see [`crate::microbatch`]). Every job
-/// still gets its own [`JobOutcome`], bit-identical to the unfused
-/// path; fused siblings share their group's simulated interval.
-pub fn solve_batch_fused(
-    pool: &mut DevicePool,
-    jobs: &[Job],
-    policy: DispatchPolicy,
-    cfg: &MicrobatchConfig,
-) -> BatchReport {
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4);
-    solve_batch_fused_with(pool, jobs, workers, policy, cfg)
-}
-
-/// [`solve_batch_fused`] with an explicit host worker-thread count.
-pub fn solve_batch_fused_with(
-    pool: &mut DevicePool,
-    jobs: &[Job],
-    host_threads: usize,
-    policy: DispatchPolicy,
-    cfg: &MicrobatchConfig,
-) -> BatchReport {
-    solve_batch_engine(pool, jobs, host_threads, policy, Some(cfg))
-}
-
-/// The shared batch engine: schedule (fused groups or singletons),
-/// execute groups on host worker threads, reconcile adaptive refunds,
-/// aggregate. The unfused path flows through the same group machinery
-/// as singleton groups priced straight off their plans, so the two
-/// paths differ only in grouping and booking — never in per-job
-/// arithmetic.
-fn solve_batch_engine(
-    pool: &mut DevicePool,
-    jobs: &[Job],
-    host_threads: usize,
-    policy: DispatchPolicy,
-    micro: Option<&MicrobatchConfig>,
-) -> BatchReport {
+/// A planner that reports through the pool's observer, if any.
+pub(crate) fn observed_planner(pool: &DevicePool) -> Planner {
     let mut planner = Planner::new();
     if let Some(obs) = pool.observer() {
         planner.attach_observer(obs.clone());
     }
-    let shapes: Vec<JobShape> = jobs.iter().map(JobShape::from).collect();
-    let groups: Vec<GroupDispatch> = match micro {
-        Some(cfg) if !cfg.is_off() => schedule_groups(pool, &planner, &shapes, policy, cfg),
-        // fusion off: the exact legacy singleton schedule, in
-        // submission order — the timing baseline of the fusion A/Bs
-        _ => schedule(pool, &planner, &shapes, policy)
-            .into_iter()
-            .map(GroupDispatch::singleton)
-            .collect(),
-    };
+    planner
+}
 
+/// Solve a batch of jobs over the pool under [`EngineConfig::default`]
+/// — see [`solve_batch_with`].
+///
+/// Device micro-batching is **on by default**: jobs sharing a shape
+/// key fuse into batched launch sequences at the occupancy sweet spot
+/// (bit-identical to solving each job alone — fusing packs launches,
+/// never changes arithmetic).
+pub fn solve_batch(pool: &mut DevicePool, jobs: &[Job]) -> BatchReport {
+    solve_batch_with(pool, jobs, &EngineConfig::default())
+}
+
+/// A booked dispatch group of the batch engine, awaiting execution and
+/// settlement.
+pub(crate) struct Booked {
+    pub(crate) shape: JobShape,
+    pub(crate) g: GroupDispatch,
+    /// Set when a device loss killed this group and recovery is off:
+    /// the loss time, which becomes the members' terminal `end_ms`.
+    pub(crate) dead_at: Option<f64>,
+}
+
+/// The batch engine: admit, book, recover, execute, settle.
+///
+/// 1. **Admit** (when [`AdmissionConfig::enabled`]): every deadlined
+///    job is previewed against the surviving pool and shed or
+///    down-laddered when its requested digits cannot make the deadline
+///    (see [`crate::resilient`]).
+/// 2. **Book** every group's stages, in the shared placement order
+///    (longest-first under SECT), on the device the policy picks from
+///    the stage timelines ([`dispatch_group_staged`]).
+/// 3. **Recover** the sticky device losses the pool's fault plans
+///    schedule: interrupted groups re-dispatch onto the survivors or,
+///    with [`RecoveryPolicy::redispatch`] off, fail.
+/// 4. **Execute** every live group on work-stealing host threads
+///    (`min(available_parallelism, groups)`); execution is purely
+///    functional, so host parallelism cannot perturb placements,
+///    events or bits.
+/// 5. **Settle** in global booking order (refund causality and the
+///    event stream stay deterministic): refund each group's unexecuted
+///    tail, book the extra passes execution actually ran, and replay
+///    the transient faults that landed inside its executed interval.
+///
+/// Every completed outcome is bit-identical to [`solve_planned`] of the
+/// same job and plan whenever no extension pass ran; steps 1 and 3 and
+/// the replays of step 5 do nothing on a quiet pool without deadlines.
+pub fn solve_batch_with(pool: &mut DevicePool, jobs: &[Job], cfg: &EngineConfig) -> BatchReport {
+    let planner = observed_planner(pool);
+    let sched = &cfg.sched;
     let mut outcomes: Vec<Option<JobOutcome>> = Vec::new();
     outcomes.resize_with(jobs.len(), || None);
-    let outcomes_mx = std::sync::Mutex::new(outcomes);
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let run_group = |gi: usize| {
-        let g: &GroupDispatch = &groups[gi];
-        let gpu = pool.gpu(g.device);
-        let members: Vec<&Job> = g.jobs.iter().map(|&j| &jobs[j]).collect();
-        let solved: Vec<PlannedSolve> = if members.len() == 1 {
-            vec![solve_planned_traced(gpu, members[0], &g.plan)]
-        } else {
-            solve_planned_fused(gpu, &members, &g.plan)
-        };
-        let assembled = JobOutcome::assemble_group(&members, g, solved);
-        let mut out = outcomes_mx.lock().unwrap();
-        for (&j, o) in g.jobs.iter().zip(assembled) {
-            out[j] = Some(o);
-        }
-    };
-
-    let workers = host_threads.max(1).min(groups.len().max(1));
-    if workers <= 1 {
-        for gi in 0..groups.len() {
-            run_group(gi);
-        }
-    } else {
-        let total = groups.len();
-        let run_group = &run_group;
-        let next = &next;
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(move || loop {
-                    let gi = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if gi >= total {
-                        break;
-                    }
-                    run_group(gi);
-                });
+    let mut shapes: Vec<JobShape> = jobs.iter().map(JobShape::from).collect();
+    let mut dispo = vec![Disposition::Ok; jobs.len()];
+    let mut admitted: Vec<usize> = Vec::with_capacity(jobs.len());
+    for (i, job) in jobs.iter().enumerate() {
+        match admit_job(
+            pool,
+            &planner,
+            job,
+            sched.overlap,
+            job.release(),
+            &cfg.admission,
+        ) {
+            AdmissionDecision::Admit => admitted.push(i),
+            AdmissionDecision::Degrade(digits) => {
+                emit_degraded(pool, job, digits);
+                shapes[i].target_digits = digits;
+                dispo[i] = Disposition::Degraded;
+                admitted.push(i);
             }
+            AdmissionDecision::Shed(predicted_end) => {
+                outcomes[i] = Some(shed_at_ingress(pool, &planner, job, predicted_end));
+            }
+        }
+    }
+
+    // book the admitted work, in placement order
+    let admitted_shapes: Vec<JobShape> = admitted.iter().map(|&i| shapes[i]).collect();
+    let groups: Vec<Vec<usize>> = partition(&planner, &admitted_shapes, &cfg.micro)
+        .into_iter()
+        .map(|g| g.into_iter().map(|k| admitted[k]).collect())
+        .collect();
+    let order = placement_order(pool, &planner, &shapes, &groups, cfg.policy);
+    let mut booked: Vec<Booked> = Vec::with_capacity(order.len());
+    for &gi in &order {
+        let idxs = &groups[gi];
+        let shape = shapes[idxs[0]];
+        let release = idxs
+            .iter()
+            .map(|&j| jobs[j].release())
+            .fold(0.0f64, f64::max);
+        let g = dispatch_group_staged(
+            pool,
+            &planner,
+            idxs.clone(),
+            &shape,
+            cfg.policy,
+            sched,
+            release,
+        );
+        booked.push(Booked {
+            shape,
+            g,
+            dead_at: None,
         });
     }
+    recover_losses(pool, &planner, jobs, &mut booked, &mut dispo, cfg);
 
-    let outcomes: Vec<JobOutcome> = outcomes_mx
-        .into_inner()
-        .unwrap()
-        .into_iter()
-        .map(|o| o.expect("every job executed"))
-        .collect();
-    // adaptive refinement may have finished under its booked pass
-    // count: hand the unused booked time back so utilization reports
-    // what actually ran
-    for o in &outcomes {
-        if o.refunded_ms > 0.0 {
-            pool.reconcile(o.device, o.refunded_ms);
+    let solved: Vec<Option<Vec<PlannedSolve>>> = {
+        let pool: &DevicePool = pool;
+        let workers = std::thread::available_parallelism().map_or(4, |n| n.get());
+        execute_all(&booked, workers, |b| {
+            b.dead_at.is_none().then(|| {
+                let members: Vec<&Job> = b.g.jobs.iter().map(|&j| &jobs[j]).collect();
+                execute_group(
+                    pool.gpu(b.g.device),
+                    &members,
+                    &b.g.plan,
+                    sched.max_extra_passes,
+                )
+            })
+        })
+    };
+
+    let mut makespan_ms = 0.0f64;
+    let mut fused_groups = 0;
+    for (mut b, solved) in booked.into_iter().zip(solved) {
+        let members: Vec<&Job> = b.g.jobs.iter().map(|&j| &jobs[j]).collect();
+        let Some(solved) = solved else {
+            let at = b.dead_at.expect("only dead groups skip execution");
+            for (&j, job) in b.g.jobs.iter().zip(&members) {
+                let mut o =
+                    tombstone_outcome(job, b.g.plan.clone(), b.g.device, Disposition::Failed, at);
+                o.start_ms = b.g.start_ms.min(at);
+                o.fused_group = members.len();
+                outcomes[j] = Some(o);
+            }
+            continue;
+        };
+        if members.len() > 1 {
+            fused_groups += 1;
+        }
+        let passes_run = solved.iter().map(|s| s.corrections_run).max().unwrap_or(0);
+        let (refunded, extended) =
+            settle_staged_dispatch(pool, &mut b.g, &b.shape, passes_run, sched);
+        let hits = replay_transients(
+            pool,
+            &mut b.g,
+            cfg.recovery.max_transient_retries,
+            cfg.recovery.backoff_ms,
+            sched.overlap,
+            members[0].id,
+        );
+        makespan_ms = makespan_ms.max(b.g.end_ms);
+        let assembled = JobOutcome::assemble_group(&members, &b.g, solved, refunded, extended);
+        for (&j, mut o) in b.g.jobs.iter().zip(assembled) {
+            o.disposition = match dispo[j] {
+                Disposition::Ok if !hits.is_empty() => Disposition::Retried,
+                d => d,
+            };
+            outcomes[j] = Some(o);
         }
     }
+
+    let outcomes: Vec<JobOutcome> = outcomes
+        .into_iter()
+        .map(|o| o.expect("every job has a terminal disposition"))
+        .collect();
     emit_settled(pool, &outcomes);
-    // batch-relative aggregates: the completion time of *this* batch's
-    // last job, not the pool's cumulative clock
-    let makespan_ms = groups.iter().map(|g| g.end_ms).fold(0.0, f64::max);
+    let completed = outcomes
+        .iter()
+        .filter(|o| o.disposition.completed())
+        .count();
     let solves_per_sec = if makespan_ms > 0.0 {
-        outcomes.len() as f64 / (makespan_ms * 1.0e-3)
+        completed as f64 / (makespan_ms * 1.0e-3)
     } else {
         0.0
     };
@@ -992,14 +1024,14 @@ fn solve_batch_engine(
         device_stats: pool.stats(),
         distinct_plans: planner.cached_plans(),
         plan_cache: planner.cache_stats(),
-        fused_groups: groups.iter().filter(|g| g.jobs.len() > 1).count(),
+        fused_groups,
         latency: latency_summary(&outcomes),
         outcomes,
     }
 }
 
 /// Emit one [`Event::JobSettled`] per outcome, in submission order —
-/// shared by every batch engine so the settled stream is deterministic
+/// shared by every engine so the settled stream is deterministic
 /// regardless of host-thread interleaving during execution.
 pub(crate) fn emit_settled(pool: &DevicePool, outcomes: &[JobOutcome]) {
     for o in outcomes {
@@ -1044,15 +1076,12 @@ pub(crate) fn settle_staged_dispatch(
 ) -> (f64, f64) {
     let booked = g.booked_passes();
     let k = g.jobs.len().max(1) as f64;
-    if let Some(current) = g.booking.as_ref().and_then(|b| pool.live_booking(b.id)) {
+    if let Some(current) = pool.live_booking(g.booking.id) {
         g.start_ms = current.start_ms();
         g.end_ms = current.end_ms();
-        g.booking = Some(current);
+        g.booking = current;
     }
-    let booking = g
-        .booking
-        .clone()
-        .expect("staged dispatches carry a booking");
+    let booking = g.booking.clone();
     // calibration records for the stages that actually ran: the
     // planner's singleton per-stage prediction against this group's
     // realized per-job share of the fused booking
@@ -1116,191 +1145,6 @@ pub(crate) fn settle_staged_dispatch(
     }
 }
 
-/// The **stage-level online batch engine**: book every fused group on
-/// the interval timelines up front, execute per-device queues
-/// concurrently, then settle in booking order.
-///
-/// 1. **Book** (main thread, in the shared — for SECT: longest-first —
-///    placement order): every group's stages land as lane-split
-///    intervals on the device the policy picks *from the stage
-///    timeline* ([`dispatch_group_staged`]) — under
-///    [`StageSchedConfig::overlap`] a group's factorization prep hides
-///    under whatever the device is still computing (and books a host
-///    staging worker); under [`StageSchedConfig::book_expected`] only
-///    the planner's expected pass count is booked.
-/// 2. **Execute** with per-device queues: one scoped host thread per
-///    device with work, each running its queue in booking order.
-///    Execution is purely functional (the same interpreter as every
-///    other path, against an immutable device model), so host
-///    parallelism cannot perturb placements, events or bits — it only
-///    shortens *our* wall clock. Up to
-///    [`StageSchedConfig::max_extra_passes`] extension passes run for
-///    jobs whose residual stalls above target.
-/// 3. **Settle** (main thread, global booking order — refund causality
-///    and the event stream stay deterministic): refund each group's
-///    unexecuted tail online ([`DevicePool::rebook`]; under
-///    [`StageSchedConfig::compact`] queued dispatches slide left into
-///    the hole and settlement reads their refreshed placements) or
-///    book the extra passes execution actually ran.
-///
-/// Outcomes are bit-identical to [`solve_batch`] whenever
-/// `max_extra_passes` matches (extension is the one knob that adds
-/// arithmetic, and it only fires on jobs the legacy path would have
-/// returned *under target*).
-pub fn solve_batch_staged(
-    pool: &mut DevicePool,
-    jobs: &[Job],
-    policy: DispatchPolicy,
-    micro: &MicrobatchConfig,
-    sched: &StageSchedConfig,
-) -> BatchReport {
-    solve_batch_staged_with(pool, jobs, policy, micro, sched, true)
-}
-
-/// [`solve_batch_staged`] with an explicit host-parallelism switch:
-/// `host_parallel = false` executes every device queue on the calling
-/// thread, in the same booking order — the serial reference the
-/// per-device-queue executor is asserted bit-identical (and
-/// timing-identical) against.
-pub fn solve_batch_staged_with(
-    pool: &mut DevicePool,
-    jobs: &[Job],
-    policy: DispatchPolicy,
-    micro: &MicrobatchConfig,
-    sched: &StageSchedConfig,
-    host_parallel: bool,
-) -> BatchReport {
-    let mut planner = Planner::new();
-    if let Some(obs) = pool.observer() {
-        planner.attach_observer(obs.clone());
-    }
-    let shapes: Vec<JobShape> = jobs.iter().map(JobShape::from).collect();
-    let groups_idx: Vec<Vec<usize>> = if micro.is_off() {
-        (0..jobs.len()).map(|i| vec![i]).collect()
-    } else {
-        plan_groups(&planner, &shapes, micro)
-    };
-    let order = crate::microbatch::placement_order(pool, &planner, &shapes, &groups_idx, policy);
-
-    // phase 1: book everything, in placement order, on the main thread
-    struct Slot {
-        gi: usize,
-        shape: JobShape,
-        g: GroupDispatch,
-    }
-    let mut slots: Vec<Slot> = Vec::with_capacity(order.len());
-    for &gi in &order {
-        let idxs = &groups_idx[gi];
-        let shape = shapes[idxs[0]];
-        let release = idxs
-            .iter()
-            .map(|&j| jobs[j].release())
-            .fold(0.0f64, f64::max);
-        let g = dispatch_group_staged(pool, &planner, idxs.clone(), &shape, policy, sched, release);
-        slots.push(Slot { gi, shape, g });
-    }
-
-    // phase 2: execute — per-device queues, one scoped thread each
-    let mut solved: Vec<Option<Vec<PlannedSolve>>> = Vec::new();
-    solved.resize_with(slots.len(), || None);
-    {
-        let pool_ref: &DevicePool = pool;
-        let exec = |slot: &Slot| -> Vec<PlannedSolve> {
-            let members: Vec<&Job> = groups_idx[slot.gi].iter().map(|&j| &jobs[j]).collect();
-            if members.len() == 1 {
-                vec![solve_planned_traced_with(
-                    pool_ref.gpu(slot.g.device),
-                    members[0],
-                    &slot.g.plan,
-                    sched.max_extra_passes,
-                )]
-            } else {
-                solve_planned_fused_with(
-                    pool_ref.gpu(slot.g.device),
-                    &members,
-                    &slot.g.plan,
-                    sched.max_extra_passes,
-                )
-            }
-        };
-        if host_parallel && pool_ref.len() > 1 && slots.len() > 1 {
-            let mut queues: Vec<Vec<usize>> = vec![Vec::new(); pool_ref.len()];
-            for (i, slot) in slots.iter().enumerate() {
-                queues[slot.g.device].push(i);
-            }
-            let results: Mutex<Vec<(usize, Vec<PlannedSolve>)>> =
-                Mutex::new(Vec::with_capacity(slots.len()));
-            let slots_ref = &slots;
-            let exec_ref = &exec;
-            let results_ref = &results;
-            std::thread::scope(|scope| {
-                for queue in queues.into_iter().filter(|q| !q.is_empty()) {
-                    scope.spawn(move || {
-                        for i in queue {
-                            let r = exec_ref(&slots_ref[i]);
-                            results_ref.lock().unwrap().push((i, r));
-                        }
-                    });
-                }
-            });
-            for (i, r) in results.into_inner().unwrap() {
-                solved[i] = Some(r);
-            }
-        } else {
-            for (i, slot) in slots.iter().enumerate() {
-                solved[i] = Some(exec(slot));
-            }
-        }
-    }
-
-    // phase 3: settle in global booking order, on the main thread
-    let mut outcomes: Vec<Option<JobOutcome>> = Vec::new();
-    outcomes.resize_with(jobs.len(), || None);
-    let mut makespan_ms = 0.0f64;
-    let mut fused_groups = 0;
-    for (slot, solved) in slots.iter_mut().zip(solved) {
-        let solved = solved.expect("every group executed");
-        let idxs = &groups_idx[slot.gi];
-        let members: Vec<&Job> = idxs.iter().map(|&j| &jobs[j]).collect();
-        if members.len() > 1 {
-            fused_groups += 1;
-        }
-        let passes_run = solved.iter().map(|s| s.corrections_run).max().unwrap_or(0);
-        let (refunded, extended) =
-            settle_staged_dispatch(pool, &mut slot.g, &slot.shape, passes_run, sched);
-        makespan_ms = makespan_ms.max(slot.g.end_ms);
-        let mut assembled = JobOutcome::assemble_group(&members, &slot.g, solved);
-        for o in &mut assembled {
-            o.refunded_ms = refunded;
-            o.extended_ms = extended;
-        }
-        for (&j, o) in idxs.iter().zip(assembled) {
-            outcomes[j] = Some(o);
-        }
-    }
-
-    let outcomes: Vec<JobOutcome> = outcomes
-        .into_iter()
-        .map(|o| o.expect("every job executed"))
-        .collect();
-    emit_settled(pool, &outcomes);
-    let solves_per_sec = if makespan_ms > 0.0 {
-        outcomes.len() as f64 / (makespan_ms * 1.0e-3)
-    } else {
-        0.0
-    };
-    BatchReport {
-        makespan_ms,
-        solves_per_sec,
-        device_stats: pool.stats(),
-        distinct_plans: planner.cached_plans(),
-        plan_cache: planner.cache_stats(),
-        fused_groups,
-        latency: latency_summary(&outcomes),
-        outcomes,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1322,6 +1166,48 @@ mod tests {
                 Job::new(id, a, b, [12, 25, 50][id as usize % 3])
             })
             .collect()
+    }
+
+    /// The default engine under `policy` with fusion `micro`.
+    fn engine(policy: DispatchPolicy, micro: MicrobatchConfig) -> EngineConfig {
+        EngineConfig {
+            policy,
+            micro,
+            ..EngineConfig::default()
+        }
+    }
+
+    /// Serial reference of a batch run: every outcome's bits equal the
+    /// singleton interpreter's for its plan, and every placement equals
+    /// the model-only schedule the same configuration books.
+    fn assert_matches_serial_reference(
+        gpus: &[Gpu],
+        jobs: &[Job],
+        cfg: &EngineConfig,
+        report: &BatchReport,
+    ) {
+        let shapes: Vec<JobShape> = jobs.iter().map(JobShape::from).collect();
+        let mut model = DevicePool::new(gpus.to_vec());
+        let groups = crate::microbatch::schedule_staged(
+            &mut model,
+            &Planner::new(),
+            &shapes,
+            cfg.policy,
+            &cfg.micro,
+            &cfg.sched,
+        );
+        for g in &groups {
+            for &j in &g.jobs {
+                let o = &report.outcomes[j];
+                assert_eq!(o.device, g.device, "job {j}: placement diverged");
+                assert_eq!(o.start_ms.to_bits(), g.start_ms.to_bits(), "job {j}");
+                assert_eq!(o.end_ms.to_bits(), g.end_ms.to_bits(), "job {j}");
+                let gpu = model.gpu(o.device);
+                let (x, residual) = solve_planned(gpu, &jobs[j], &o.plan);
+                assert_eq!(x, o.x, "job {j}: host threads changed the bits");
+                assert_eq!(residual, o.residual);
+            }
+        }
     }
 
     #[test]
@@ -1349,26 +1235,29 @@ mod tests {
     #[test]
     fn parallel_and_serial_execution_agree() {
         let jobs = little_jobs(12, 78);
-        let mut pool_a = DevicePool::homogeneous(&Gpu::v100(), 3);
-        let mut pool_b = DevicePool::homogeneous(&Gpu::v100(), 3);
-        let serial = solve_batch_with(&mut pool_a, &jobs, 1, DispatchPolicy::LeastLoaded);
-        let parallel = solve_batch_with(&mut pool_b, &jobs, 4, DispatchPolicy::LeastLoaded);
-        assert_eq!(serial.makespan_ms, parallel.makespan_ms);
-        for (s, p) in serial.outcomes.iter().zip(&parallel.outcomes) {
-            assert_eq!(s.x, p.x, "job {} diverged across host threads", s.job_id);
-            assert_eq!(s.device, p.device);
-        }
+        let gpus = vec![Gpu::v100(); 3];
+        let cfg = engine(DispatchPolicy::LeastLoaded, MicrobatchConfig::off());
+        let report = solve_batch_with(&mut DevicePool::new(gpus.clone()), &jobs, &cfg);
+        assert_matches_serial_reference(&gpus, &jobs, &cfg, &report);
     }
 
     #[test]
     fn worker_spawn_is_clamped_to_the_batch() {
-        // regression guard: an absurd host_threads request on a tiny
-        // batch must clamp to the job count instead of trying to spawn
-        // that many threads (which would abort the process)
+        // regression guard: an absurd worker count on a tiny batch must
+        // clamp to the item count instead of trying to spawn that many
+        // threads (which would abort the process)
+        let out = execute_all(&[1, 2], 1_000_000, |x| x * 10);
+        assert_eq!(out, [10, 20]);
         let jobs = little_jobs(1, 82);
         let mut pool = DevicePool::homogeneous(&Gpu::v100(), 2);
-        let report = solve_batch_with(&mut pool, &jobs, 1_000_000, DispatchPolicy::LeastLoaded);
-        assert_eq!(report.outcomes.len(), 1);
+        assert_eq!(solve_batch(&mut pool, &jobs).outcomes.len(), 1);
+    }
+
+    #[test]
+    fn work_stealing_returns_results_in_item_order() {
+        let items: Vec<u64> = (0..64).collect();
+        let out = execute_all(&items, 4, |&x| x * x);
+        assert_eq!(out, items.iter().map(|x| x * x).collect::<Vec<_>>());
     }
 
     #[test]
@@ -1398,7 +1287,7 @@ mod tests {
             .collect();
         let (hits_before, _) = promoted_cache_stats();
         let mut pool = DevicePool::homogeneous(&Gpu::v100(), 1);
-        let report = solve_batch_with(&mut pool, &jobs, 1, DispatchPolicy::LeastLoaded);
+        let report = solve_batch(&mut pool, &jobs);
         let (hits_after, _) = promoted_cache_stats();
         // the 25-digit plan refines a d1 factorization at the dd rung;
         // only the dd promotion goes through the cache (f64 bypasses
@@ -1419,8 +1308,8 @@ mod tests {
     fn reused_pool_reports_per_batch_aggregates() {
         let jobs = little_jobs(4, 80);
         let mut pool = DevicePool::homogeneous(&Gpu::v100(), 2);
-        let first = solve_batch_with(&mut pool, &jobs, 1, DispatchPolicy::LeastLoaded);
-        let second = solve_batch_with(&mut pool, &jobs, 1, DispatchPolicy::LeastLoaded);
+        let first = solve_batch(&mut pool, &jobs);
+        let second = solve_batch(&mut pool, &jobs);
         // clocks carry across batches: the second batch finishes later...
         assert!(second.makespan_ms > first.makespan_ms);
         // ...but its rate counts only its own four jobs over that time
@@ -1435,13 +1324,15 @@ mod tests {
         let jobs = little_jobs(10, 81);
         let gpus = || vec![Gpu::v100(), Gpu::p100()];
         let mut pool_g = DevicePool::new(gpus());
-        let greedy = solve_batch_with(&mut pool_g, &jobs, 1, DispatchPolicy::LeastLoaded);
+        let greedy = solve_batch(&mut pool_g, &jobs);
         let mut pool_s = DevicePool::new(gpus());
         let sect = solve_batch_with(
             &mut pool_s,
             &jobs,
-            1,
-            DispatchPolicy::ShortestExpectedCompletion,
+            &engine(
+                DispatchPolicy::ShortestExpectedCompletion,
+                MicrobatchConfig::default(),
+            ),
         );
         for (g, s) in greedy.outcomes.iter().zip(&sect.outcomes) {
             assert_eq!(g.job_id, s.job_id);
@@ -1456,13 +1347,13 @@ mod tests {
         let report = solve_batch(&mut pool, &[]);
         assert!(report.outcomes.is_empty());
         assert_eq!(report.makespan_ms, 0.0);
-        let fused = solve_batch_fused(
-            &mut pool,
-            &[],
-            DispatchPolicy::LeastLoaded,
-            &MicrobatchConfig::default(),
-        );
-        assert!(fused.outcomes.is_empty());
+        let staged = EngineConfig {
+            sched: StageSchedConfig::staged(),
+            ..EngineConfig::default()
+        };
+        assert!(solve_batch_with(&mut pool, &[], &staged)
+            .outcomes
+            .is_empty());
     }
 
     /// Jobs with repeated shapes so the micro-batcher has something to
@@ -1489,21 +1380,13 @@ mod tests {
     fn fused_batch_is_bit_identical_to_unfused() {
         let jobs = fusible_jobs(8, 90);
         let mut pool_u = DevicePool::homogeneous(&Gpu::v100(), 2);
-        let unfused = solve_batch_fused_with(
+        let unfused = solve_batch_with(
             &mut pool_u,
             &jobs,
-            1,
-            DispatchPolicy::LeastLoaded,
-            &MicrobatchConfig::off(),
+            &engine(DispatchPolicy::LeastLoaded, MicrobatchConfig::off()),
         );
         let mut pool_f = DevicePool::homogeneous(&Gpu::v100(), 2);
-        let fused = solve_batch_fused_with(
-            &mut pool_f,
-            &jobs,
-            1,
-            DispatchPolicy::LeastLoaded,
-            &MicrobatchConfig::default(),
-        );
+        let fused = solve_batch(&mut pool_f, &jobs);
         assert!(fused.fused_groups > 0, "nothing fused");
         for (u, f) in unfused.outcomes.iter().zip(&fused.outcomes) {
             assert_eq!(u.job_id, f.job_id);
@@ -1554,17 +1437,11 @@ mod tests {
     #[test]
     fn fused_batch_parallel_workers_agree_with_serial() {
         let jobs = fusible_jobs(6, 91);
-        let cfg = MicrobatchConfig::default();
-        let mut pool_s = DevicePool::homogeneous(&Gpu::v100(), 2);
-        let serial =
-            solve_batch_fused_with(&mut pool_s, &jobs, 1, DispatchPolicy::LeastLoaded, &cfg);
-        let mut pool_p = DevicePool::homogeneous(&Gpu::v100(), 2);
-        let parallel =
-            solve_batch_fused_with(&mut pool_p, &jobs, 4, DispatchPolicy::LeastLoaded, &cfg);
-        assert_eq!(serial.makespan_ms, parallel.makespan_ms);
-        for (s, p) in serial.outcomes.iter().zip(&parallel.outcomes) {
-            assert_eq!(s.x, p.x, "job {} diverged across host threads", s.job_id);
-        }
+        let gpus = vec![Gpu::v100(); 2];
+        let cfg = EngineConfig::default();
+        let report = solve_batch_with(&mut DevicePool::new(gpus.clone()), &jobs, &cfg);
+        assert!(report.fused_groups > 0, "nothing fused");
+        assert_matches_serial_reference(&gpus, &jobs, &cfg, &report);
     }
 
     #[test]
@@ -1582,12 +1459,10 @@ mod tests {
         let mut pool = DevicePool::homogeneous(&Gpu::v100(), 2);
         // fusion off: the per-job refund arithmetic below checks the
         // singleton plan's stage walls, not a fused group's shares
-        let report = solve_batch_fused_with(
+        let report = solve_batch_with(
             &mut pool,
             &jobs,
-            1,
-            DispatchPolicy::LeastLoaded,
-            &MicrobatchConfig::off(),
+            &engine(DispatchPolicy::LeastLoaded, MicrobatchConfig::off()),
         );
         for out in &report.outcomes {
             assert!(out.corrections_run <= out.plan.corrections());

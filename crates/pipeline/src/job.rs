@@ -115,7 +115,6 @@ impl SloClass {
     }
 }
 
-
 /// One least squares solve request: minimize `‖b − A x‖₂` to at least
 /// `target_digits` decimal digits.
 #[derive(Clone, Debug)]
@@ -139,17 +138,14 @@ pub struct Job {
     pub deadline_ms: Option<f64>,
     /// Optional simulated arrival time in ms: the solve cannot start
     /// before this instant (fed through [`crate::pool::DevicePool`]'s
-    /// booking as an earliest-start bound, with any idle gap modeled by
-    /// `hold_until` semantics — the clock advances, busy time does
-    /// not). Lets the stream model bursty queues and count real
-    /// deadline *misses* instead of just deadline ordering. `None`
-    /// means available immediately.
+    /// booking as an earliest-start bound; the idle gap before it
+    /// advances the clock, not the busy time). Lets the stream model
+    /// bursty queues and count real deadline *misses* instead of just
+    /// deadline ordering. `None` means available immediately.
     ///
-    /// Honored by the stream entry points and the staged batch engine
-    /// (`solve_batch_staged`), which dispatch job by job. The plain
-    /// batch paths (`solve_batch` and friends) model a queue handed
-    /// over whole at t = 0 and ignore arrivals — stream jobs that
-    /// trickle in belong on the stream.
+    /// Honored by every engine: the stream and the service dispatch
+    /// job by job, and the batch books a fused group no earlier than
+    /// its latest member's arrival.
     pub release_ms: Option<f64>,
     /// Submitting tenant, for the multi-tenant service shell
     /// ([`crate::service`]): selects the bounded ingress queue, the

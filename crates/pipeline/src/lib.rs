@@ -4,7 +4,7 @@
 //! power-flow embeddings — issue *millions of small solves*, not one
 //! big one. This crate turns the workspace's single-solve stack
 //! (`gpusim` + `mdls-qr` + `mdls-backsub` + `mdls-core`) into a solve
-//! *service* with three layers:
+//! *service* with four layers:
 //!
 //! 1. **Planner** ([`planner`], [`plan`]) — per job `(m, n, target
 //!    digits)`, *searches* over staged [`ExecPlan`]s: direct solves at
@@ -18,73 +18,49 @@
 //!    plans are memoized per shape, target and device.
 //! 2. **Device pool + scheduler** ([`pool`], [`scheduler`]) — N
 //!    simulated GPUs (`Gpu::v100()`, `Gpu::a100()`, …, cloned or
-//!    mixed), each with a simulated-time clock; queued jobs dispatch
-//!    under a pluggable [`DispatchPolicy`] — greedy least-loaded, or
-//!    shortest-expected-completion for heterogeneous pools — and the
-//!    pool aggregates solves/sec, gigaflops and utilization per device.
-//! 3. **Batched API** ([`batch`], [`stream`]) — [`solve_batch`] for a
-//!    whole queue at once (host worker threads shorten real wall time;
-//!    simulated timing is unaffected), [`solve_stream`] as the lazy,
-//!    iterator-style variant for live queues, and
-//!    [`solve_stream_with`] adding a priority/deadline reorder buffer
-//!    (corrector solves overtake speculative predictor solves) plus
-//!    policy selection.
-//! 4. **Device micro-batching** ([`microbatch`]) — the paper's small
-//!    systems underfill one GPU; jobs sharing a shape key fuse into
-//!    batched launch sequences sized at the occupancy sweet spot,
-//!    booking one fused profile per group instead of `k` singletons
-//!    (40–60× predicted per-job gain on 32–128-unknown d/dd shapes).
-//!    Fusion is **on by default** in [`solve_batch`] and
-//!    [`solve_stream`]; [`MicrobatchConfig::off`] restores per-job
-//!    launches. Stream fusion takes drain-order prefixes only (shrunk
-//!    further when the front member's deadline is tight), so
-//!    priority/deadline ordering is preserved; every member job keeps
-//!    its own outcome, bit-identical to the unfused path. Refinement
-//!    passes stop adaptively once the measured residual certifies the
-//!    target, with the unused booked time refunded to the pool
-//!    ([`DevicePool::reconcile`]).
-//! 5. **Stage-level scheduling** ([`pool`] timelines,
-//!    [`StageSchedConfig`], [`solve_batch_staged`],
-//!    [`solve_stream_staged`]) — bookings are per *stage*, not per
-//!    plan, split into a prep lane (host overhead + PCIe) and a
-//!    compute lane (kernels + gaps) per device: the next job's
-//!    factorization prep books under the current job's
-//!    residual/correct passes (40%+ makespan cuts on refinement-heavy
-//!    mixes), SECT costs completion by previewing the booking on each
-//!    device's timeline, and adaptive early stops are **re-booked
-//!    online** ([`DevicePool::rebook`]) so queued dispatches use the
-//!    freed time — under [`RebookMode::Compact`] they *slide left*
-//!    into mid-schedule holes. Each lane is a real interval list
-//!    ([`Timeline`]): placement searches gaps, not just the tail, and
-//!    host prep is a pool-wide resource ([`HostStagingPool`] — `k`
-//!    CPU staging workers feed all devices). The planner books its
-//!    *expected* pass count and
-//!    the engine extends stalled jobs pass by pass until the measured
-//!    residual certifies the target ([`Job::release_ms`] models bursty
-//!    arrivals along the way). Booking modes move work through
-//!    simulated time only — bits stay identical across all of them.
-//! 6. **Fault tolerance & admission** ([`resilient`]) — each pooled
-//!    device may carry a seeded [`gpusim::FaultPlan`] (transient
-//!    kernel faults and a sticky `DeviceLost` threshold; pure data, no
-//!    clocks or entropy). [`solve_batch_resilient`] previews every
-//!    deadlined job at ingress and sheds or down-ladders unmeetable
-//!    requests, re-plans work interrupted by a device loss onto the
-//!    survivors ([`DevicePool::fail_device`] turns the dead device's
-//!    unexecuted spans into refunds), and books bounded, backed-off
-//!    replays for transient faults. Every job ends in an explicit
-//!    [`Disposition`]; completed jobs are bit-identical to the
-//!    fault-free run.
-//! 7. **Multi-tenant service shell** ([`service`]) — [`serve`] fronts
-//!    the staged engines for many callers at once: per-tenant
-//!    *bounded* ingress queues with a [`Backpressure`] policy,
-//!    deficit-round-robin weighted-fair dispatch with token-bucket
-//!    quotas in predicted device-ms (settle-time refunds credit the
-//!    bucket back), an overload ladder that sheds or down-ladders the
-//!    cheapest [`SloClass`] first, and per-device circuit breakers
-//!    keyed off each device's transient-fault rate (quarantine via
-//!    [`DevicePool::fail_device`], probe-based re-admission after a
-//!    seeded backoff). Entirely simulated time; bit- and
-//!    schedule-deterministic across runs and host worker counts.
+//!    mixed), each with a pair of interval-list timelines in simulated
+//!    time (a prep lane for host overhead + PCIe, a compute lane for
+//!    kernels + gaps; [`Timeline`]) and a pool-wide host staging
+//!    resource ([`HostStagingPool`]). A pluggable [`DispatchPolicy`] —
+//!    greedy least-loaded, or shortest-expected-completion for
+//!    heterogeneous pools — places each dispatch group, and the pool
+//!    aggregates solves/sec, gigaflops and utilization per device.
+//! 3. **One engine** ([`batch`], [`stream`]) — every dispatch goes
+//!    through the same three steps: book the group's stages on the
+//!    chosen device's timelines ([`dispatch_group_staged`]), execute
+//!    the group through the stage interpreter, and settle what ran
+//!    against what was booked. [`solve_batch`] runs a whole queue at
+//!    once (work-stealing host threads shorten real wall time;
+//!    simulated timing is unaffected); [`solve_stream`] is the lazy,
+//!    iterator-style variant for live queues, with a priority/deadline
+//!    reorder buffer ([`solve_stream_with`]). One [`EngineConfig`]
+//!    carries every knob of both: the placement [`DispatchPolicy`];
+//!    device micro-batching ([`microbatch`], [`MicrobatchConfig`]) —
+//!    same-shaped small jobs fuse into batched launch sequences at the
+//!    occupancy sweet spot, bit-identical to the unfused path; stage
+//!    booking ([`StageSchedConfig`]) — contiguous per plan by default,
+//!    or overlapped prep under compute, expected-pass booking, online
+//!    re-booking with slide-left compaction ([`DevicePool::rebook`])
+//!    and pass extension for stalled jobs; deadline admission
+//!    ([`AdmissionConfig`]) that sheds or down-ladders unmeetable
+//!    requests at ingress; and fault recovery ([`resilient`],
+//!    [`RecoveryPolicy`]) that re-plans work a seeded
+//!    [`gpusim::FaultPlan`] device loss interrupted onto the survivors
+//!    and replays transient faults. Every job ends in an explicit
+//!    [`Disposition`]; booking modes and recovery move work through
+//!    simulated time only, never bits.
+//! 4. **Multi-tenant service shell** ([`service`]) — [`serve`] fronts
+//!    the same book → execute → settle steps for many callers at once:
+//!    per-tenant *bounded* ingress queues with a [`Backpressure`]
+//!    policy, deficit-round-robin weighted-fair dispatch with
+//!    token-bucket quotas in predicted device-ms (reserved at dispatch;
+//!    settle-time refunds credit the bucket back), an overload ladder
+//!    that sheds or down-ladders the cheapest [`SloClass`] first, and
+//!    per-device circuit breakers keyed off each device's
+//!    transient-fault rate (quarantine via [`DevicePool::fail_device`],
+//!    probe-based re-admission after a seeded backoff). Entirely
+//!    simulated time; bit- and schedule-deterministic across runs and
+//!    host worker counts.
 //!
 //! Policies and priorities move jobs across devices and through time;
 //! they never change numerics — every outcome stays bit-identical to
@@ -96,7 +72,7 @@
 //! **Observability** ([`mdls_obs`], re-exported as `obs` from the
 //! workspace root): attach any [`mdls_obs::Observer`] to a pool via
 //! [`DevicePool::attach_observer`] and every layer — planner cache and
-//! search, SECT previews, stage bookings, refunds, holds, extensions,
+//! search, SECT previews, stage bookings, refunds, extensions,
 //! settlements — emits typed events through it. With no observer
 //! attached (the default) no event is even constructed; observation
 //! never changes solutions or simulated timing.
@@ -131,15 +107,12 @@ pub mod workload;
 
 pub use batch::{
     digits_from_residual, latency_summary, promoted_cache_stats, promoted_cache_warm_insert,
-    solve_batch, solve_batch_fused, solve_batch_fused_with, solve_batch_policy, solve_batch_staged,
-    solve_batch_staged_with, solve_batch_with, solve_planned, solve_planned_fused,
-    solve_planned_fused_with, solve_planned_traced, solve_planned_traced_with, BatchReport,
-    Disposition, JobOutcome, LatencySummary, PlannedSolve,
+    solve_batch, solve_batch_with, solve_planned, BatchReport, Disposition, EngineConfig,
+    JobOutcome, LatencySummary,
 };
 pub use job::{Job, Precision, SloClass, Solution, TenantId};
 pub use microbatch::{
-    dispatch_group, dispatch_group_at, dispatch_group_staged, plan_groups, schedule_groups,
-    schedule_staged, GroupDispatch, MicrobatchConfig,
+    dispatch_group_staged, plan_groups, schedule_staged, GroupDispatch, MicrobatchConfig,
 };
 pub use plan::{ExecPlan, FusedProfile, PlannedStage, Stage};
 pub use planner::{plan_cache_stats, PlanCacheStats, Planner};
@@ -147,17 +120,14 @@ pub use pool::{
     DeviceLossReport, DevicePool, DeviceStats, HostStagingPool, PoolDevice, RebookMode,
     StageBooking, StageInterval, StageRefund, StageReq, Timeline,
 };
-pub use resilient::{solve_batch_resilient, AdmissionConfig, RecoveryPolicy, ResilienceConfig};
-pub use scheduler::{dispatch_one, schedule, Dispatch, DispatchPolicy, JobShape, StageSchedConfig};
+pub use resilient::{AdmissionConfig, RecoveryPolicy};
+pub use scheduler::{DispatchPolicy, JobShape, StageSchedConfig};
 pub use service::{
     serve, Backpressure, BreakerConfig, BreakerSummary, ClassSummary, ExecutionMode,
     OverloadConfig, QuotaSpec, ServiceConfig, ServicePolicy, ServiceReport, TenantSpec,
     TenantSummary,
 };
-pub use stream::{
-    solve_stream, solve_stream_admitted, solve_stream_fused, solve_stream_staged,
-    solve_stream_with, BatchStream,
-};
+pub use stream::{solve_stream, solve_stream_admitted, solve_stream_with, BatchStream};
 pub use workload::{
     bursty_tracker_jobs, jobs_for_shapes, power_flow_jobs, refinement_mix, tracker_jobs,
     workload_mix,

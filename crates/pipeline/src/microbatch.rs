@@ -17,23 +17,21 @@
 //!   group whose fused grid reaches the per-job cost plateau of the
 //!   device's wave structure. Bigger groups would only add latency (a
 //!   fused group completes as a whole).
-//! * **Dispatch** ([`dispatch_group`]): a fused group is placed like
-//!   one job, under the same [`DispatchPolicy`] rules, but booked at
-//!   its *fused* price ([`Planner::plan_fused`]) — one pool booking of
-//!   the group's [`FusedProfile`] instead of `k` singleton bookings.
-//!   Every member job still gets its own outcome; members share the
-//!   group's simulated interval.
-//! * **Execution** (`solve_planned_fused` in [`crate::batch`]): each
+//! * **Dispatch** ([`dispatch_group_staged`]): a fused group is placed
+//!   like one job, under the same [`DispatchPolicy`] rules, but booked
+//!   at its *fused* price ([`Planner::plan_fused`]) — one pool booking
+//!   of the group's [`FusedProfile`] stages instead of `k` singleton
+//!   bookings. Every member job still gets its own outcome; members
+//!   share the group's simulated interval.
+//! * **Execution** (the group interpreter in [`crate::batch`]): each
 //!   member's functional launch sequence is exactly the singleton
 //!   sequence, so solutions are bit-identical to the unfused path —
 //!   fusing is launch packing, never different arithmetic.
 
 use crate::plan::{ExecPlan, FusedProfile};
 use crate::planner::Planner;
-use crate::pool::{DevicePool, StageBooking};
-use crate::scheduler::{
-    place_by_end, place_release, Dispatch, DispatchPolicy, JobShape, StageSchedConfig,
-};
+use crate::pool::{DevicePool, StageBooking, StageReq};
+use crate::scheduler::{place_by_end, DispatchPolicy, JobShape, StageSchedConfig};
 use mdls_obs::Event;
 
 /// Configuration of the micro-batcher.
@@ -82,10 +80,10 @@ impl MicrobatchConfig {
 #[derive(Clone, Debug)]
 pub struct GroupDispatch {
     /// Member job slots, in dispatch order. On the batch path these
-    /// are indices into the submitted job slice (like
-    /// [`Dispatch::job`]); on the stream path — where jobs come from
-    /// an iterator, not a slice — they are running dispatch sequence
-    /// numbers and index nothing.
+    /// are indices into the submitted job slice; on the stream path —
+    /// where jobs come from an iterator, not a slice — they are running
+    /// dispatch sequence numbers, and in the service shell job ids;
+    /// there they index nothing.
     pub jobs: Vec<usize>,
     /// Pool id of the device the group runs on.
     pub device: usize,
@@ -99,43 +97,17 @@ pub struct GroupDispatch {
     /// Simulated completion of the whole group, ms (shared by every
     /// member — a fused sequence completes as a whole).
     pub end_ms: f64,
-    /// The stage-granular booking behind this dispatch, when it was
-    /// placed by a stage-level scheduler (`None` on the per-plan
-    /// paths). Carries the per-stage intervals online re-booking
-    /// rewinds.
-    pub booking: Option<StageBooking>,
+    /// The stage-granular booking behind this dispatch: the per-stage
+    /// intervals online re-booking rewinds.
+    pub booking: StageBooking,
 }
 
 impl GroupDispatch {
-    /// Number of fused member jobs.
-    pub fn group_size(&self) -> usize {
-        self.jobs.len()
-    }
-
-    /// Wrap a singleton [`Dispatch`] as a group of one, priced exactly
-    /// at its plan — the seam that lets the unfused batch and stream
-    /// paths run through the shared group executor.
-    pub fn singleton(d: Dispatch) -> GroupDispatch {
-        GroupDispatch {
-            jobs: vec![d.job],
-            device: d.device,
-            fused: FusedProfile::singleton(&d.plan),
-            plan: d.plan,
-            start_ms: d.start_ms,
-            end_ms: d.end_ms,
-            booking: None,
-        }
-    }
-
-    /// Number of refinement passes this dispatch actually booked:
-    /// derived from the stage booking when one exists (expected-pass
-    /// booking books fewer stages than the plan holds), the plan's
-    /// structural count otherwise.
+    /// Number of refinement passes this dispatch actually booked,
+    /// derived from the stage booking (expected-pass booking books
+    /// fewer stages than the plan holds).
     pub fn booked_passes(&self) -> usize {
-        match &self.booking {
-            Some(b) => (b.stages.len().saturating_sub(2)) / 2,
-            None => self.plan.corrections(),
-        }
+        (self.booking.stages.len().saturating_sub(2)) / 2
     }
 }
 
@@ -191,61 +163,25 @@ pub fn plan_groups(
     groups
 }
 
-/// Dispatch one fused group: pick a device for the *group* under
-/// `policy` — least-loaded takes the earliest-idle clock; shortest-
-/// expected-completion prices the fused group on every device model and
-/// commits where `clock + fused_ms` is minimal — then book the group's
-/// fused profile onto the device clock as a single commitment covering
-/// all members.
-pub fn dispatch_group(
-    pool: &mut DevicePool,
+/// The plan, fused pricing and stage requests of a `k`-member group
+/// of `shape` on `gpu`: the planner's *expected* pass count under
+/// [`StageSchedConfig::book_expected`], the structural worst case
+/// otherwise.
+fn group_reqs(
     planner: &Planner,
-    jobs: Vec<usize>,
+    gpu: &gpusim::Gpu,
     shape: &JobShape,
-    policy: DispatchPolicy,
-) -> GroupDispatch {
-    dispatch_group_at(pool, planner, jobs, shape, policy, 0.0)
-}
-
-/// [`dispatch_group`] with a simulated release time: the group cannot
-/// start before `release_ms` (the latest member arrival), so SECT
-/// ranks devices by `max(clock, release) + fused cost` and the chosen
-/// device is held idle through the gap ([`DevicePool::hold_until`] —
-/// the clock advances, the busy aggregate does not).
-pub fn dispatch_group_at(
-    pool: &mut DevicePool,
-    planner: &Planner,
-    jobs: Vec<usize>,
-    shape: &JobShape,
-    policy: DispatchPolicy,
-    release_ms: f64,
-) -> GroupDispatch {
-    assert!(!jobs.is_empty(), "a fused group needs at least one job");
-    let k = jobs.len();
-    let (device, (plan, fused)) = place_release(pool, policy, release_ms, |gpu| {
-        let priced = planner.plan_fused(gpu, shape.rows, shape.cols, shape.target_digits, k);
-        let cost_ms = priced.1.predicted_ms;
-        (priced, cost_ms)
-    });
-    if release_ms > 0.0 {
-        pool.hold_until(device, release_ms);
-    }
-    let (start_ms, end_ms) = pool.commit_group(
-        device,
-        fused.predicted_ms,
-        fused.predicted_kernel_ms,
-        fused.flops_paper,
-        k as u64,
-    );
-    GroupDispatch {
-        jobs,
-        device,
-        plan,
-        fused,
-        start_ms,
-        end_ms,
-        booking: None,
-    }
+    k: usize,
+    sched: &StageSchedConfig,
+) -> (ExecPlan, FusedProfile, Vec<StageReq>) {
+    let (plan, fused) = planner.plan_fused(gpu, shape.rows, shape.cols, shape.target_digits, k);
+    let passes = if sched.book_expected {
+        plan.expected_corrections
+    } else {
+        plan.corrections()
+    };
+    let reqs = fused.stage_reqs(ExecPlan::booked_stages(passes));
+    (plan, fused, reqs)
 }
 
 /// Dispatch one group with **stage-granular booking**: the group's
@@ -271,23 +207,47 @@ pub fn dispatch_group_staged(
     assert!(!jobs.is_empty(), "a fused group needs at least one job");
     let k = jobs.len();
     let (device, (plan, fused, reqs)) = place_by_end(pool, policy, |d| {
-        let (plan, fused) =
-            planner.plan_fused(&d.gpu, shape.rows, shape.cols, shape.target_digits, k);
-        let passes = if sched.book_expected {
-            plan.expected_corrections
-        } else {
-            plan.corrections()
-        };
-        let reqs = fused.stage_reqs(ExecPlan::booked_stages(passes));
-        let end_ms = pool.preview_stages(d.id, &reqs, sched.overlap, release_ms);
-        ((plan, fused, reqs), end_ms)
+        let priced = group_reqs(planner, &d.gpu, shape, k, sched);
+        let end_ms = pool.preview_stages(d.id, &priced.2, sched.overlap, release_ms);
+        (priced, end_ms)
     });
+    book_group(pool, jobs, device, plan, fused, &reqs, sched, release_ms)
+}
+
+/// [`dispatch_group_staged`] with the placement pinned to `device` —
+/// the service shell's probe dispatches must land on the suspect
+/// device, and its own placement rule picks among free devices only.
+pub(crate) fn dispatch_group_on(
+    pool: &mut DevicePool,
+    planner: &Planner,
+    jobs: Vec<usize>,
+    shape: &JobShape,
+    device: usize,
+    sched: &StageSchedConfig,
+    release_ms: f64,
+) -> GroupDispatch {
+    let (plan, fused, reqs) = group_reqs(planner, pool.gpu(device), shape, jobs.len(), sched);
+    book_group(pool, jobs, device, plan, fused, &reqs, sched, release_ms)
+}
+
+/// Commit a priced group's stage requests to `device` and announce the
+/// labeled stage intervals.
+fn book_group(
+    pool: &mut DevicePool,
+    jobs: Vec<usize>,
+    device: usize,
+    plan: ExecPlan,
+    fused: FusedProfile,
+    reqs: &[StageReq],
+    sched: &StageSchedConfig,
+    release_ms: f64,
+) -> GroupDispatch {
     let booking = pool.commit_stages(
         device,
-        &reqs,
+        reqs,
         fused.predicted_kernel_ms,
         fused.flops_paper,
-        k as u64,
+        jobs.len() as u64,
         sched.overlap,
         release_ms,
     );
@@ -313,16 +273,30 @@ pub fn dispatch_group_staged(
         fused,
         start_ms: booking.start_ms(),
         end_ms: booking.end_ms(),
-        booking: Some(booking),
+        booking,
+    }
+}
+
+/// The engine's partition of a batch: fused groups via [`plan_groups`],
+/// or — with fusion off — every job alone, in submission order.
+pub(crate) fn partition(
+    planner: &Planner,
+    shapes: &[JobShape],
+    cfg: &MicrobatchConfig,
+) -> Vec<Vec<usize>> {
+    if cfg.is_off() {
+        (0..shapes.len()).map(|i| vec![i]).collect()
+    } else {
+        plan_groups(planner, shapes, cfg)
     }
 }
 
 /// The placement order of a partitioned batch: under
 /// shortest-expected-completion, groups go longest-first (LPT over the
 /// *fused* group cost on the pool's first device model —
-/// device-count-free, like the singleton sort key); least-loaded keeps
-/// submission order. One definition shared by every batch scheduler,
-/// staged or not, so the A/B paths can never drift apart on ordering.
+/// device-count-free); least-loaded keeps submission order. One
+/// definition shared by the batch engine and [`schedule_staged`], so
+/// the model-only schedule can never drift from the engine's.
 pub(crate) fn placement_order(
     pool: &DevicePool,
     planner: &Planner,
@@ -346,40 +320,13 @@ pub(crate) fn placement_order(
     order
 }
 
-/// Schedule a whole batch as fused groups under `policy`: partition via
-/// [`plan_groups`], order via the shared placement rule (LPT under
-/// SECT, submission order otherwise), then dispatch group by group.
-pub fn schedule_groups(
-    pool: &mut DevicePool,
-    planner: &Planner,
-    shapes: &[JobShape],
-    policy: DispatchPolicy,
-    cfg: &MicrobatchConfig,
-) -> Vec<GroupDispatch> {
-    let groups = plan_groups(planner, shapes, cfg);
-    let order = placement_order(pool, planner, shapes, &groups, policy);
-    let mut dispatched: Vec<Option<GroupDispatch>> = Vec::new();
-    dispatched.resize_with(groups.len(), || None);
-    for &gi in &order {
-        let shape = shapes[groups[gi][0]];
-        dispatched[gi] = Some(dispatch_group(
-            pool,
-            planner,
-            groups[gi].clone(),
-            &shape,
-            policy,
-        ));
-    }
-    dispatched.into_iter().map(|d| d.unwrap()).collect()
-}
-
-/// [`schedule_groups`] with **stage-granular booking**: the same
-/// partition and (for SECT) the same longest-first placement order,
-/// but every group books its stages as lane-split intervals through
-/// [`dispatch_group_staged`] — the model-level entry point of the
-/// stage-overlap A/B. With [`StageSchedConfig::sequential`] the
-/// schedule is timing-identical to [`schedule_groups`]; with overlap
-/// on, consecutive groups pipeline prep under compute.
+/// Schedule a whole batch model-only: partition via [`plan_groups`]
+/// (every job its own group under [`MicrobatchConfig::off`], in
+/// submission order), order via the shared placement rule (LPT under
+/// SECT, submission order otherwise), then book every group's stages
+/// through [`dispatch_group_staged`] — the same booking phase the batch
+/// engine runs before it executes anything. With overlap on,
+/// consecutive groups pipeline prep under compute.
 pub fn schedule_staged(
     pool: &mut DevicePool,
     planner: &Planner,
@@ -388,7 +335,7 @@ pub fn schedule_staged(
     cfg: &MicrobatchConfig,
     sched: &StageSchedConfig,
 ) -> Vec<GroupDispatch> {
-    let groups = plan_groups(planner, shapes, cfg);
+    let groups = partition(planner, shapes, cfg);
     let order = placement_order(pool, planner, shapes, &groups, policy);
     let mut dispatched: Vec<Option<GroupDispatch>> = Vec::new();
     dispatched.resize_with(groups.len(), || None);
@@ -467,6 +414,18 @@ mod tests {
         assert_eq!(groups.iter().map(|g| g.len()).sum::<usize>(), 40);
     }
 
+    /// Book a group contiguously, at release 0.
+    fn dispatch_group(
+        pool: &mut DevicePool,
+        planner: &Planner,
+        jobs: Vec<usize>,
+        shape: &JobShape,
+        policy: DispatchPolicy,
+    ) -> GroupDispatch {
+        let sched = StageSchedConfig::sequential();
+        dispatch_group_staged(pool, planner, jobs, shape, policy, &sched, 0.0)
+    }
+
     #[test]
     fn group_dispatch_books_one_fused_interval() {
         let planner = Planner::new();
@@ -479,7 +438,7 @@ mod tests {
             &s,
             DispatchPolicy::LeastLoaded,
         );
-        assert_eq!(d.group_size(), 8);
+        assert_eq!(d.jobs.len(), 8);
         assert_eq!(d.fused.group, 8);
         assert_eq!(pool.total_solves(), 8);
         assert_eq!(pool.devices()[d.device].clock_ms(), d.end_ms);
@@ -520,7 +479,7 @@ mod tests {
         let planner = Planner::new();
         let s = shape(128, 100);
         let mut pool = DevicePool::new(vec![Gpu::a100(), Gpu::p100()]);
-        pool.commit(0, 1.0, 0.8, 1.0e6);
+        pool.commit_stages(0, &[StageReq::split(1.0, 0.0)], 0.8, 1.0e6, 1, false, 0.0);
         let d = dispatch_group(
             &mut pool,
             &planner,

@@ -15,8 +15,8 @@
 //! searches *gaps* — [`Timeline::earliest_fit`] returns the earliest
 //! admissible start, which may sit mid-schedule inside a hole an
 //! adaptive early stop left behind — so previews
-//! ([`DevicePool::preview_stages`], [`DevicePool::preview_wall`]) and
-//! commits agree on gap-filling placement.
+//! ([`DevicePool::preview_stages`]) and commits agree on gap-filling
+//! placement.
 //!
 //! A booking splits each stage across two *lanes* per device —
 //!
@@ -402,12 +402,12 @@ pub struct PoolDevice {
     host: Timeline,
     /// Compute-lane timeline (kernels + launch gaps).
     device: Timeline,
-    /// Idle floor: [`DevicePool::hold_until`] raises this, so no later
-    /// booking starts below it and the clock never reads below it.
+    /// Idle floor: [`DevicePool::restore_device`] raises this, so no
+    /// later booking starts below it and the clock never reads below it.
     floor_ms: f64,
-    /// Accumulated solve time, ms. Distinct from the clock: holding a
-    /// device idle (a gap before a delayed job) advances the clock but
-    /// not the busy aggregate, so utilization stays honest.
+    /// Accumulated solve time, ms. Distinct from the clock: an idle
+    /// gap (before a delayed job, or a quarantine) advances the clock
+    /// but not the busy aggregate, so utilization stays honest.
     busy_ms: f64,
     /// Booked time later handed back by [`DevicePool::reconcile`]
     /// (adaptive refinement finishing under its booked pass count).
@@ -604,7 +604,7 @@ impl DevicePool {
 
     /// Attach an event observer: every later timeline mutation
     /// (commits, stage bookings via the dispatch paths, refunds,
-    /// compactions, holds) emits through it, and each pooled device and
+    /// compactions) emits through it, and each pooled device and
     /// staging worker is announced immediately so trace exports can
     /// name its tracks.
     ///
@@ -698,66 +698,6 @@ impl DevicePool {
             .map(|d| d.clock_ms())
             .fold(f64::INFINITY, f64::min)
             .min(f64::MAX)
-    }
-
-    /// Preview the `(start, end)` a composed `wall_ms` booking on
-    /// device `id` would get, starting no earlier than `not_before`: a
-    /// joint gap search over both lanes (a composed booking occupies
-    /// the device exclusively). Gap-aware: mid-schedule holes left by
-    /// re-booking are candidates, not just the tail.
-    pub fn preview_wall(&self, id: usize, wall_ms: f64, not_before: f64) -> (f64, f64) {
-        let d = &self.devices[id];
-        if wall_ms <= 0.0 {
-            let at = d.clock_ms().max(not_before);
-            return (at, at);
-        }
-        let start = joint_fit(&[&d.host, &d.device], wall_ms, not_before.max(d.floor_ms));
-        (start, start + wall_ms)
-    }
-
-    /// Commit one solve to device `id`: book `wall_ms` at the earliest
-    /// joint fit and fold the solve's accounting into the aggregates.
-    /// Returns the simulated `(start, end)` interval of the solve.
-    pub fn commit(
-        &mut self,
-        id: usize,
-        wall_ms: f64,
-        kernel_ms: f64,
-        flops_paper: f64,
-    ) -> (f64, f64) {
-        self.commit_group(id, wall_ms, kernel_ms, flops_paper, 1)
-    }
-
-    /// Commit a fused group of `solves` micro-batched solves to device
-    /// `id` as *one* booking: one interval on both lanes covering the
-    /// group's fused wall clock, with the aggregates counting every
-    /// member solve. Returns the group's simulated `(start, end)`
-    /// interval — all member jobs share it, because a fused launch
-    /// sequence completes as a whole.
-    pub fn commit_group(
-        &mut self,
-        id: usize,
-        wall_ms: f64,
-        kernel_ms: f64,
-        flops_paper: f64,
-        solves: u64,
-    ) -> (f64, f64) {
-        let (start, end) = self.preview_wall(id, wall_ms, 0.0);
-        let d = &mut self.devices[id];
-        // a composed (per-plan) booking occupies both lanes exclusively
-        d.host.book(start, end);
-        d.device.book(start, end);
-        d.busy_ms += wall_ms;
-        d.solves += solves;
-        d.kernel_ms += kernel_ms;
-        d.flops_paper += flops_paper;
-        self.emit(|| Event::PlanSpan {
-            device: id,
-            jobs: solves as usize,
-            start_ms: start,
-            end_ms: end,
-        });
-        (start, end)
     }
 
     /// Plan where `reqs` would land on device `device` with overlap
@@ -1390,7 +1330,7 @@ impl DevicePool {
     /// floor to `at_ms`, so nothing books into the quarantine window
     /// it just sat out — the re-admission half of a circuit breaker
     /// (see [`DevicePool::fail_device`]). The quarantine gap is idle,
-    /// not busy, exactly like a release-time hold. No-op on a device
+    /// not busy, exactly like a release-time wait. No-op on a device
     /// that is not lost.
     pub fn restore_device(&mut self, id: usize, at_ms: f64) {
         if self.devices[id].lost_at_ms.is_none() {
@@ -1399,24 +1339,6 @@ impl DevicePool {
         self.devices[id].lost_at_ms = None;
         let d = &mut self.devices[id];
         d.floor_ms = d.floor_ms.max(at_ms);
-    }
-
-    /// Hold device `id` idle until simulated time `until_ms` (no-op if
-    /// its clock is already past): raises the device's idle floor, so
-    /// no later booking starts below it. Advances the clock without
-    /// touching the busy aggregate — the modeled idle gap before a
-    /// delayed or deadline-held job.
-    pub fn hold_until(&mut self, id: usize, until_ms: f64) {
-        let d = &mut self.devices[id];
-        let advanced =
-            until_ms > d.floor_ms && until_ms > d.host.cursor_ms().min(d.device.cursor_ms());
-        d.floor_ms = d.floor_ms.max(until_ms);
-        if advanced {
-            self.emit(|| Event::Held {
-                device: id,
-                until_ms,
-            });
-        }
     }
 
     /// Batch makespan: the latest clock over the pool, ms.
@@ -1495,14 +1417,28 @@ impl DevicePool {
 mod tests {
     use super::*;
 
+    /// One contiguous single-stage solve of `wall_ms` on device `id`,
+    /// no earlier than `not_before`.
+    fn solve(pool: &mut DevicePool, id: usize, wall_ms: f64, kernel_ms: f64, not_before: f64) {
+        pool.commit_stages(
+            id,
+            &[req(0.0, wall_ms)],
+            kernel_ms,
+            1.0e9,
+            1,
+            false,
+            not_before,
+        );
+    }
+
     #[test]
     fn least_loaded_prefers_earliest_then_lowest_id() {
         let mut pool = DevicePool::homogeneous(&Gpu::v100(), 3);
         assert_eq!(pool.least_loaded(), 0);
-        pool.commit(0, 10.0, 8.0, 1.0e9);
+        solve(&mut pool, 0, 10.0, 8.0, 0.0);
         assert_eq!(pool.least_loaded(), 1);
-        pool.commit(1, 4.0, 3.0, 1.0e9);
-        pool.commit(2, 4.0, 3.0, 1.0e9);
+        solve(&mut pool, 1, 4.0, 3.0, 0.0);
+        solve(&mut pool, 2, 4.0, 3.0, 0.0);
         // devices 1 and 2 tie at 4.0 ms: lowest id wins
         assert_eq!(pool.least_loaded(), 1);
     }
@@ -1510,8 +1446,8 @@ mod tests {
     #[test]
     fn makespan_and_throughput() {
         let mut pool = DevicePool::homogeneous(&Gpu::a100(), 2);
-        pool.commit(0, 100.0, 80.0, 1.0e9);
-        pool.commit(1, 250.0, 200.0, 2.0e9);
+        solve(&mut pool, 0, 100.0, 80.0, 0.0);
+        solve(&mut pool, 1, 250.0, 200.0, 0.0);
         assert_eq!(pool.makespan_ms(), 250.0);
         assert_eq!(pool.total_solves(), 2);
         // 2 solves / 0.25 s = 8 solves/s
@@ -1527,9 +1463,8 @@ mod tests {
         // any idle gap counted as busy time and over-reported
         // utilization (and under-reported solves/busy-sec)
         let mut pool = DevicePool::homogeneous(&Gpu::v100(), 2);
-        pool.hold_until(0, 60.0); // 60 ms idle gap before the first solve
-        pool.commit(0, 40.0, 30.0, 1.0e9);
-        pool.commit(1, 100.0, 80.0, 1.0e9);
+        solve(&mut pool, 0, 40.0, 30.0, 60.0); // 60 ms idle gap first
+        solve(&mut pool, 1, 100.0, 80.0, 0.0);
         assert_eq!(pool.makespan_ms(), 100.0);
         let stats = pool.stats();
         assert_eq!(stats[0].busy_ms, 40.0);
@@ -1537,16 +1472,12 @@ mod tests {
         assert!((stats[1].utilization - 1.0).abs() < 1e-12);
         // 1 solve / 0.04 busy-sec = 25 solves per busy second
         assert!((stats[0].solves_per_busy_sec - 25.0).abs() < 1e-9);
-        // holding a device never rewinds its clock
-        pool.hold_until(1, 10.0);
-        assert_eq!(pool.devices()[1].clock_ms(), 100.0);
     }
 
     #[test]
     fn reset_clears_everything() {
         let mut pool = DevicePool::homogeneous(&Gpu::v100(), 1);
-        pool.hold_until(0, 2.0);
-        pool.commit(0, 5.0, 4.0, 1.0);
+        solve(&mut pool, 0, 5.0, 4.0, 2.0);
         pool.reset();
         assert_eq!(pool.makespan_ms(), 0.0);
         assert_eq!(pool.total_solves(), 0);
@@ -1556,8 +1487,8 @@ mod tests {
     #[test]
     fn group_commit_books_once_counts_all() {
         let mut pool = DevicePool::homogeneous(&Gpu::v100(), 1);
-        let (start, end) = pool.commit_group(0, 30.0, 20.0, 6.0e9, 8);
-        assert_eq!((start, end), (0.0, 30.0));
+        let b = pool.commit_stages(0, &[req(0.0, 30.0)], 20.0, 6.0e9, 8, false, 0.0);
+        assert_eq!((b.start_ms(), b.end_ms()), (0.0, 30.0));
         assert_eq!(pool.total_solves(), 8);
         // one fused interval, not eight
         assert_eq!(pool.makespan_ms(), 30.0);
@@ -1569,7 +1500,7 @@ mod tests {
     #[test]
     fn reconcile_refunds_busy_time_not_the_clock() {
         let mut pool = DevicePool::homogeneous(&Gpu::v100(), 1);
-        pool.commit(0, 100.0, 80.0, 1.0e9);
+        solve(&mut pool, 0, 100.0, 80.0, 0.0);
         pool.reconcile(0, 25.0);
         // the schedule keeps the booked clock...
         assert_eq!(pool.makespan_ms(), 100.0);
@@ -1668,12 +1599,11 @@ mod tests {
     #[test]
     fn sequential_stage_booking_matches_composed_commit() {
         // overlap off: stage intervals tile the exact interval one
-        // composed commit would book — per-plan and stage-granular
-        // sequential bookings are timing-identical
+        // composed single-stage booking of the summed wall would take
         let reqs = [req(12.0, 2.0), req(0.0, 0.5), req(0.1, 0.4)];
         let wall: f64 = reqs.iter().map(|r| r.wall_ms()).sum();
         let mut a = DevicePool::homogeneous(&Gpu::v100(), 1);
-        a.commit(0, wall, 0.0, 0.0);
+        solve(&mut a, 0, wall, 0.0, 0.0);
         let mut b = DevicePool::homogeneous(&Gpu::v100(), 1);
         let booking = b.commit_stages(0, &reqs, 0.0, 0.0, 1, false, 0.0);
         assert_eq!(booking.start_ms(), 0.0);
@@ -1866,8 +1796,7 @@ mod tests {
         assert_eq!(fit.end_ms(), 10.0);
         // and previews agree with commits on gap placement
         assert_eq!(pool.preview_stages(0, &[req(0.0, 2.0)], true, 0.0), 12.0);
-        let (s, e) = pool.preview_wall(0, 2.0, 0.0);
-        assert_eq!((s, e), (10.0, 12.0));
+        assert_eq!(pool.preview_stages(0, &[req(0.0, 2.0)], false, 0.0), 12.0);
     }
 
     #[test]
@@ -1913,16 +1842,17 @@ mod tests {
     }
 
     #[test]
-    fn hold_floor_delays_later_bookings() {
+    fn restore_floor_delays_later_bookings() {
+        // a device re-admitted at t = 60 books nothing into the
+        // quarantine window it sat out
         let mut pool = DevicePool::homogeneous(&Gpu::v100(), 1);
-        pool.hold_until(0, 60.0);
-        let (s, _) = pool.preview_wall(0, 5.0, 0.0);
-        assert_eq!(s, 60.0);
+        pool.fail_device(0, 0.0);
+        pool.restore_device(0, 60.0);
+        assert_eq!(pool.preview_stages(0, &[req(0.0, 5.0)], false, 0.0), 65.0);
         let b = pool.commit_stages(0, &[req(0.0, 5.0)], 0.0, 0.0, 1, true, 0.0);
         assert_eq!(b.start_ms(), 60.0);
         // the floor-delayed booking now owns [60,65): the next preview
         // queues behind it
-        let (s2, _) = pool.preview_wall(0, 5.0, 0.0);
-        assert_eq!(s2, 65.0);
+        assert_eq!(pool.preview_stages(0, &[req(0.0, 5.0)], false, 0.0), 70.0);
     }
 }

@@ -1,9 +1,9 @@
-//! Fault-tolerant batch execution: deadline-driven admission at
-//! ingress, seeded device-fault injection, and retry/re-dispatch
-//! recovery.
+//! Fault-tolerant execution: deadline-driven admission at ingress,
+//! seeded device-fault injection, and retry/re-dispatch recovery.
 //!
-//! The driver here wraps the staged batch engine with three concerns
-//! the happy-path engines deliberately do not carry:
+//! The helpers here are the steps the batch engine
+//! ([`crate::batch::solve_batch_with`]) runs around its book → execute
+//! → settle loop, and the stream and service shells share:
 //!
 //! * **Admission** — before anything is booked, every deadlined job is
 //!   previewed against the surviving pool
@@ -38,16 +38,12 @@
 
 use std::collections::HashSet;
 
-use crate::batch::{
-    emit_settled, latency_summary, settle_staged_dispatch, solve_planned_fused_with,
-    solve_planned_traced_with, BatchReport, Disposition, JobOutcome, PlannedSolve,
-};
+use crate::batch::{Booked, Disposition, EngineConfig, JobOutcome};
 use crate::job::{Job, Precision, Solution};
-use crate::microbatch::{dispatch_group_staged, plan_groups, GroupDispatch, MicrobatchConfig};
+use crate::microbatch::{dispatch_group_staged, GroupDispatch};
 use crate::plan::ExecPlan;
 use crate::planner::Planner;
 use crate::pool::DevicePool;
-use crate::scheduler::{DispatchPolicy, JobShape, StageSchedConfig};
 use mdls_obs::Event;
 
 /// Ingress admission control for deadlined jobs.
@@ -93,29 +89,6 @@ impl Default for RecoveryPolicy {
             redispatch: true,
             max_transient_retries: 3,
             backoff_ms: 0.05,
-        }
-    }
-}
-
-/// The full resilience configuration of a batch run.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct ResilienceConfig {
-    /// Ingress admission.
-    pub admission: AdmissionConfig,
-    /// Fault recovery.
-    pub recovery: RecoveryPolicy,
-}
-
-impl ResilienceConfig {
-    /// The chaos-benchmark baseline: admission still runs, but a device
-    /// loss fails every interrupted job instead of re-dispatching.
-    pub fn fail_all() -> Self {
-        ResilienceConfig {
-            recovery: RecoveryPolicy {
-                redispatch: false,
-                ..RecoveryPolicy::default()
-            },
-            ..ResilienceConfig::default()
         }
     }
 }
@@ -248,124 +221,63 @@ pub(crate) fn tombstone_outcome(
     }
 }
 
-/// Solve `jobs` on `pool` with admission, fault injection and recovery
-/// — the staged batch engine ([`crate::batch::solve_batch_staged`])
-/// wrapped in the resilience loop described in the module docs. Fault
-/// schedules are read from each pooled device's
-/// [`Gpu::fault`](gpusim::Gpu) plan (attach one with
-/// [`DevicePool::set_fault_plan`]); with every plan quiet and no
-/// deadlines this degenerates to the plain staged solve.
-///
-/// Every job ends in an explicit [`Disposition`] on its outcome, and
-/// every *completed* job's solution is bit-identical to the fault-free
-/// run's — recovery and retries move simulated time, never arithmetic.
-pub fn solve_batch_resilient(
+/// Announce an admission down-ladder of `job` to `digits`.
+pub(crate) fn emit_degraded(pool: &DevicePool, job: &Job, digits: u32) {
+    pool.emit(|| Event::JobDegraded {
+        job: job.id,
+        from_digits: job.target_digits,
+        to_digits: digits,
+    });
+}
+
+/// Shed `job` at ingress: announce the unmeetable deadline and build
+/// its tombstone, planned on the first surviving device and stamped at
+/// the job's release.
+pub(crate) fn shed_at_ingress(
+    pool: &DevicePool,
+    planner: &Planner,
+    job: &Job,
+    predicted_end: f64,
+) -> JobOutcome {
+    pool.emit(|| Event::JobShed {
+        job: job.id,
+        deadline_ms: job.deadline_ms.unwrap_or(0.0),
+        predicted_end_ms: predicted_end,
+    });
+    let device = pool
+        .devices()
+        .iter()
+        .find(|d| !d.is_lost())
+        .map(|d| d.id)
+        .unwrap_or(0);
+    let (plan, _) = planner.plan_fused(
+        pool.gpu(device),
+        job.rows(),
+        job.cols(),
+        job.target_digits,
+        1,
+    );
+    tombstone_outcome(job, plan, device, Disposition::Shed, job.release())
+}
+
+/// Apply the sticky device losses the pool's fault plans schedule,
+/// oldest first, to a batch whose groups are all booked. Each loss
+/// interrupts the unfinished bookings on the dying device; they
+/// re-dispatch immediately onto the survivors (so a *later* loss can
+/// interrupt the re-booked work too — it is live again) and their
+/// members become [`Disposition::Retried`] — or, with
+/// [`RecoveryPolicy::redispatch`] off or no survivor left, die at the
+/// loss time ([`Disposition::Failed`]). Recovery only books onto
+/// survivors: their existing spans are never moved or re-run. A pool
+/// without scheduled losses is left untouched.
+pub(crate) fn recover_losses(
     pool: &mut DevicePool,
+    planner: &Planner,
     jobs: &[Job],
-    policy: DispatchPolicy,
-    micro: &MicrobatchConfig,
-    sched: &StageSchedConfig,
-    cfg: &ResilienceConfig,
-) -> BatchReport {
-    let mut planner = Planner::new();
-    if let Some(obs) = pool.observer() {
-        planner.attach_observer(obs.clone());
-    }
-
-    // ---- phase 0: admission at the door ------------------------------
-    let mut outcomes: Vec<Option<JobOutcome>> = Vec::new();
-    outcomes.resize_with(jobs.len(), || None);
-    let mut active: Vec<usize> = Vec::new(); // original index per admitted job
-    let mut ajobs: Vec<Job> = Vec::new(); // admitted jobs, digits possibly lowered
-    let mut dispo: Vec<Disposition> = Vec::new(); // per admitted job
-    for (i, job) in jobs.iter().enumerate() {
-        let release = job.release();
-        match admit_job(pool, &planner, job, sched.overlap, release, &cfg.admission) {
-            AdmissionDecision::Admit => {
-                active.push(i);
-                ajobs.push(job.clone());
-                dispo.push(Disposition::Ok);
-            }
-            AdmissionDecision::Degrade(digits) => {
-                pool.emit(|| Event::JobDegraded {
-                    job: job.id,
-                    from_digits: job.target_digits,
-                    to_digits: digits,
-                });
-                let mut degraded = job.clone();
-                degraded.target_digits = digits;
-                active.push(i);
-                ajobs.push(degraded);
-                dispo.push(Disposition::Degraded);
-            }
-            AdmissionDecision::Shed(predicted_end) => {
-                pool.emit(|| Event::JobShed {
-                    job: job.id,
-                    deadline_ms: job.deadline_ms.unwrap_or(0.0),
-                    predicted_end_ms: predicted_end,
-                });
-                let device = pool
-                    .devices()
-                    .iter()
-                    .find(|d| !d.is_lost())
-                    .map(|d| d.id)
-                    .unwrap_or(0);
-                let (plan, _) = planner.plan_fused(
-                    pool.gpu(device),
-                    job.rows(),
-                    job.cols(),
-                    job.target_digits,
-                    1,
-                );
-                outcomes[i] = Some(tombstone_outcome(
-                    job,
-                    plan,
-                    device,
-                    Disposition::Shed,
-                    release,
-                ));
-            }
-        }
-    }
-
-    // ---- phase 1: book the admitted work in placement order ----------
-    let shapes: Vec<JobShape> = ajobs.iter().map(JobShape::from).collect();
-    let groups_idx: Vec<Vec<usize>> = if micro.is_off() {
-        (0..ajobs.len()).map(|i| vec![i]).collect()
-    } else {
-        plan_groups(&planner, &shapes, micro)
-    };
-    let order = crate::microbatch::placement_order(pool, &planner, &shapes, &groups_idx, policy);
-    struct Slot {
-        gi: usize,
-        shape: JobShape,
-        g: GroupDispatch,
-        /// Set when a loss killed this group and recovery is off: the
-        /// loss time, which becomes the members' terminal `end_ms`.
-        dead: Option<f64>,
-    }
-    let mut slots: Vec<Slot> = Vec::with_capacity(order.len());
-    for &gi in &order {
-        let idxs = &groups_idx[gi];
-        let shape = shapes[idxs[0]];
-        let release = idxs
-            .iter()
-            .map(|&j| ajobs[j].release())
-            .fold(0.0f64, f64::max);
-        let g = dispatch_group_staged(pool, &planner, idxs.clone(), &shape, policy, sched, release);
-        slots.push(Slot {
-            gi,
-            shape,
-            g,
-            dead: None,
-        });
-    }
-
-    // ---- phase 1.5: sticky losses, oldest first ----------------------
-    // Each loss interrupts the unfinished bookings on the dying device;
-    // re-dispatch immediately so a *later* loss can interrupt the
-    // re-booked work too (it is live again). Recovery only books onto
-    // survivors — their existing spans are never moved or re-run.
+    booked: &mut [Booked],
+    dispo: &mut [Disposition],
+    cfg: &EngineConfig,
+) {
     let mut losses: Vec<(usize, f64)> = pool
         .devices()
         .iter()
@@ -375,182 +287,84 @@ pub fn solve_batch_resilient(
     for (id, t) in losses {
         let report = pool.fail_device(id, t);
         let hit: HashSet<u64> = report.interrupted.iter().copied().collect();
-        if hit.is_empty() {
-            continue;
-        }
-        for slot in slots.iter_mut() {
-            let Some(bid) = slot.g.booking.as_ref().map(|b| b.id) else {
-                continue;
-            };
-            if !hit.contains(&bid) {
-                continue;
-            }
-            let idxs = groups_idx[slot.gi].clone();
+        for b in booked.iter_mut().filter(|b| hit.contains(&b.g.booking.id)) {
+            let idxs = b.g.jobs.clone();
             if cfg.recovery.redispatch && pool.alive_count() > 0 {
-                let release = idxs.iter().map(|&j| ajobs[j].release()).fold(t, f64::max);
-                slot.g = dispatch_group_staged(
-                    pool,
-                    &planner,
-                    idxs.clone(),
-                    &slot.shape,
-                    policy,
-                    sched,
-                    release,
+                let release = idxs.iter().map(|&j| jobs[j].release()).fold(t, f64::max);
+                b.g = dispatch_group_staged(
+                    pool, planner, idxs, &b.shape, cfg.policy, &cfg.sched, release,
                 );
-                for &j in &idxs {
+                for &j in &b.g.jobs {
                     if dispo[j] == Disposition::Ok {
                         dispo[j] = Disposition::Retried;
                     }
                 }
             } else {
-                slot.dead = Some(t);
+                b.dead_at = Some(t);
                 for &j in &idxs {
                     dispo[j] = Disposition::Failed;
                 }
             }
         }
     }
+}
 
-    // ---- phase 2: execute (sequentially; numerics are device-free) ---
-    let mut solved: Vec<Option<Vec<PlannedSolve>>> = Vec::new();
-    solved.resize_with(slots.len(), || None);
-    for (i, slot) in slots.iter().enumerate() {
-        if slot.dead.is_some() {
-            continue;
-        }
-        let members: Vec<&Job> = groups_idx[slot.gi].iter().map(|&j| &ajobs[j]).collect();
-        solved[i] = Some(if members.len() == 1 {
-            vec![solve_planned_traced_with(
-                pool.gpu(slot.g.device),
-                members[0],
-                &slot.g.plan,
-                sched.max_extra_passes,
-            )]
-        } else {
-            solve_planned_fused_with(
-                pool.gpu(slot.g.device),
-                &members,
-                &slot.g.plan,
-                sched.max_extra_passes,
-            )
-        });
-    }
-
-    // ---- phase 3: settle, then replay transient faults ---------------
-    let mut makespan_ms = 0.0f64;
-    let mut fused_groups = 0;
-    for (slot, solved) in slots.iter_mut().zip(solved) {
-        let idxs = &groups_idx[slot.gi];
-        let members: Vec<&Job> = idxs.iter().map(|&j| &ajobs[j]).collect();
-        if let Some(t) = slot.dead {
-            for (&j, &job) in idxs.iter().zip(&members) {
-                let mut o = tombstone_outcome(
-                    job,
-                    slot.g.plan.clone(),
-                    slot.g.device,
-                    Disposition::Failed,
-                    t,
-                );
-                o.start_ms = slot.g.start_ms.min(t);
-                o.fused_group = idxs.len();
-                outcomes[active[j]] = Some(o);
-            }
-            continue;
-        }
-        let solved = solved.expect("every surviving group executed");
-        if members.len() > 1 {
-            fused_groups += 1;
-        }
-        let passes_run = solved.iter().map(|s| s.corrections_run).max().unwrap_or(0);
-        let (refunded, extended) =
-            settle_staged_dispatch(pool, &mut slot.g, &slot.shape, passes_run, sched);
-
-        // transient kernel faults: every scheduled transient inside the
-        // executed interval costs one backed-off replay of the group's
-        // steady-state pass (or, for direct plans, the whole booking) —
-        // time moves, bits do not
-        let device = slot.g.device;
-        let fplan = pool.gpu(device).fault.clone();
-        let hits: Vec<f64> = fplan
-            .transients()
-            .iter()
-            .copied()
-            .filter(|t| *t >= slot.g.start_ms && *t < slot.g.end_ms)
-            .take(cfg.recovery.max_transient_retries)
-            .collect();
-        let mut end = slot.g.end_ms;
-        let front = members[0].id;
-        for (r, at) in hits.iter().enumerate() {
-            pool.emit(|| Event::FaultInjected {
-                device,
-                job: front,
-                at_ms: *at,
-                retry: r,
-            });
-            let mut reqs = slot.g.fused.extension_reqs();
-            if reqs.is_empty() {
-                reqs = slot.g.fused.stage_reqs(usize::MAX);
-            }
-            let backoff = cfg.recovery.backoff_ms * (1u64 << r) as f64;
-            let b = pool.commit_stages(device, &reqs, 0.0, 0.0, 0, sched.overlap, end + backoff);
-            pool.mark_settled(b.id);
-            pool.emit(|| Event::RetryBooked {
-                device,
-                job: front,
-                end_ms: b.end_ms(),
-                backoff_ms: backoff,
-            });
-            end = b.end_ms();
-            for &j in idxs {
-                if dispo[j] == Disposition::Ok {
-                    dispo[j] = Disposition::Retried;
-                }
-            }
-        }
-        slot.g.end_ms = end;
-
-        makespan_ms = makespan_ms.max(slot.g.end_ms);
-        let mut assembled = JobOutcome::assemble_group(&members, &slot.g, solved);
-        for (o, &j) in assembled.iter_mut().zip(idxs.iter()) {
-            o.refunded_ms = refunded;
-            o.extended_ms = extended;
-            o.disposition = dispo[j];
-            o.requested_digits = jobs[active[j]].target_digits;
-        }
-        for (&j, o) in idxs.iter().zip(assembled) {
-            outcomes[active[j]] = Some(o);
-        }
-    }
-
-    let outcomes: Vec<JobOutcome> = outcomes
-        .into_iter()
-        .map(|o| o.expect("every job has a terminal disposition"))
-        .collect();
-    emit_settled(pool, &outcomes);
-    let completed = outcomes
+/// Replay the transient kernel faults of `g`'s device that landed
+/// inside its settled interval, à la ECC replay: each of the first
+/// `max_retries` such faults books one backed-off replay of the group's
+/// steady-state pass (or, for direct plans, the whole booking) no
+/// earlier than `backoff_ms · 2^r` after the previous end. Time moves,
+/// bits do not. Extends `g.end_ms` over the replays and returns the
+/// fault instants replayed (empty on a quiet device).
+pub(crate) fn replay_transients(
+    pool: &mut DevicePool,
+    g: &mut GroupDispatch,
+    max_retries: usize,
+    backoff_ms: f64,
+    overlap: bool,
+    job: u64,
+) -> Vec<f64> {
+    let device = g.device;
+    let hits: Vec<f64> = pool
+        .gpu(device)
+        .fault
+        .transients()
         .iter()
-        .filter(|o| o.disposition.completed())
-        .count();
-    let solves_per_sec = if makespan_ms > 0.0 {
-        completed as f64 / (makespan_ms * 1.0e-3)
-    } else {
-        0.0
-    };
-    BatchReport {
-        makespan_ms,
-        solves_per_sec,
-        device_stats: pool.stats(),
-        distinct_plans: planner.cached_plans(),
-        plan_cache: planner.cache_stats(),
-        fused_groups,
-        latency: latency_summary(&outcomes),
-        outcomes,
+        .copied()
+        .filter(|t| *t >= g.start_ms && *t < g.end_ms)
+        .take(max_retries)
+        .collect();
+    for (r, at) in hits.iter().enumerate() {
+        pool.emit(|| Event::FaultInjected {
+            device,
+            job,
+            at_ms: *at,
+            retry: r,
+        });
+        let mut reqs = g.fused.extension_reqs();
+        if reqs.is_empty() {
+            reqs = g.fused.stage_reqs(usize::MAX);
+        }
+        let backoff = backoff_ms * (1u64 << r) as f64;
+        let b = pool.commit_stages(device, &reqs, 0.0, 0.0, 0, overlap, g.end_ms + backoff);
+        pool.mark_settled(b.id);
+        pool.emit(|| Event::RetryBooked {
+            device,
+            job,
+            end_ms: b.end_ms(),
+            backoff_ms: backoff,
+        });
+        g.end_ms = b.end_ms();
     }
+    hits
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::solve_batch_with;
+    use crate::microbatch::MicrobatchConfig;
+    use crate::scheduler::StageSchedConfig;
     use gpusim::{FaultPlan, Gpu};
     use mdls_matrix::HostMat;
     use rand::rngs::StdRng;
@@ -572,37 +386,34 @@ mod tests {
             .collect()
     }
 
+    /// The resilient configuration of the engine: staged booking,
+    /// admission on.
+    fn resilient(micro: MicrobatchConfig) -> EngineConfig {
+        EngineConfig {
+            micro,
+            sched: StageSchedConfig::staged(),
+            admission: AdmissionConfig::default(),
+            ..EngineConfig::default()
+        }
+    }
+
     #[test]
     fn quiet_plans_and_no_deadlines_match_the_staged_engine() {
         let jobs = diag_jobs(8, 8, 25, 0xfa01);
-        let micro = MicrobatchConfig::default();
-        let sched = StageSchedConfig::staged();
+        let plain = EngineConfig {
+            sched: StageSchedConfig::staged(),
+            ..EngineConfig::default()
+        };
         let mut pool_a = DevicePool::homogeneous(&Gpu::v100(), 2);
-        let a = crate::batch::solve_batch_staged_with(
-            &mut pool_a,
-            &jobs,
-            DispatchPolicy::LeastLoaded,
-            &micro,
-            &sched,
-            false,
-        );
+        let a = solve_batch_with(&mut pool_a, &jobs, &plain);
+        // a seeded fault plan over an empty horizon: no transient, no loss
         let mut pool_b = DevicePool::homogeneous(&Gpu::v100(), 2);
-        let b = solve_batch_resilient(
-            &mut pool_b,
-            &jobs,
-            DispatchPolicy::LeastLoaded,
-            &micro,
-            &sched,
-            &ResilienceConfig::default(),
-        );
+        pool_b.set_fault_plan(1, FaultPlan::seeded(3, 0.0, 1.0));
+        let b = solve_batch_with(&mut pool_b, &jobs, &resilient(MicrobatchConfig::default()));
         assert_eq!(a.outcomes.len(), b.outcomes.len());
         for (x, y) in a.outcomes.iter().zip(&b.outcomes) {
             assert_eq!(x.job_id, y.job_id);
-            assert_eq!(
-                x.x, y.x,
-                "job {}: resilience wrapper changed bits",
-                x.job_id
-            );
+            assert_eq!(x.x, y.x, "job {}: resilience steps changed bits", x.job_id);
             assert_eq!(x.end_ms, y.end_ms);
             assert_eq!(y.disposition, Disposition::Ok);
         }
@@ -612,28 +423,13 @@ mod tests {
     #[test]
     fn transient_faults_retry_and_extend_time_not_bits() {
         let jobs = diag_jobs(4, 8, 25, 0xfa02);
-        let micro = MicrobatchConfig::off();
-        let sched = StageSchedConfig::staged();
+        let cfg = resilient(MicrobatchConfig::off());
         let mut quiet = DevicePool::homogeneous(&Gpu::v100(), 1);
-        let base = solve_batch_resilient(
-            &mut quiet,
-            &jobs,
-            DispatchPolicy::LeastLoaded,
-            &micro,
-            &sched,
-            &ResilienceConfig::default(),
-        );
+        let base = solve_batch_with(&mut quiet, &jobs, &cfg);
         let mut noisy = DevicePool::homogeneous(&Gpu::v100(), 1);
         // a dense transient schedule: mean gap well under the batch span
         noisy.set_fault_plan(0, FaultPlan::seeded(11, 1.0e4, 50.0));
-        let hit = solve_batch_resilient(
-            &mut noisy,
-            &jobs,
-            DispatchPolicy::LeastLoaded,
-            &micro,
-            &sched,
-            &ResilienceConfig::default(),
-        );
+        let hit = solve_batch_with(&mut noisy, &jobs, &cfg);
         assert!(
             hit.outcomes
                 .iter()
@@ -656,17 +452,8 @@ mod tests {
     fn unmeetable_deadline_sheds_and_is_not_a_miss() {
         let mut jobs = diag_jobs(3, 8, 25, 0xfa03);
         jobs[1].deadline_ms = Some(1.0e-6); // nothing finishes this fast
-        let micro = MicrobatchConfig::off();
-        let sched = StageSchedConfig::staged();
         let mut pool = DevicePool::homogeneous(&Gpu::v100(), 1);
-        let report = solve_batch_resilient(
-            &mut pool,
-            &jobs,
-            DispatchPolicy::LeastLoaded,
-            &micro,
-            &sched,
-            &ResilienceConfig::default(),
-        );
+        let report = solve_batch_with(&mut pool, &jobs, &resilient(MicrobatchConfig::off()));
         let shed = &report.outcomes[1];
         assert_eq!(shed.disposition, Disposition::Shed);
         assert!(!shed.missed_deadline(), "a shed job is not a miss");

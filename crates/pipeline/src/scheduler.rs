@@ -1,25 +1,24 @@
-//! The scheduler: policy-driven dispatch of planned jobs onto the
-//! device pool.
+//! The scheduler's vocabulary: the [`DispatchPolicy`] that picks a
+//! device, the [`StageSchedConfig`] that decides how a group's stages
+//! land on its timelines, and the [`JobShape`] fusion key.
 //!
-//! Dispatch is a pluggable [`DispatchPolicy`]:
-//!
-//! * [`DispatchPolicy::LeastLoaded`] — the legacy greedy rule: the job
-//!   goes to the earliest-idle simulated clock (ties to the lowest id),
-//!   then is planned *for that device's model*. Cheap (one plan per
+//! * [`DispatchPolicy::LeastLoaded`] — the greedy rule: the group goes
+//!   to the earliest-idle simulated clock (ties to the lowest id), then
+//!   is planned *for that device's model*. Cheap (one plan per
 //!   dispatch) but blind to device speed: on a mixed pool an idle P100
 //!   wins over an A100 that would finish the job sooner.
-//! * [`DispatchPolicy::ShortestExpectedCompletion`] — plans the job on
-//!   *every* device model and commits where `clock + predicted_ms` is
+//! * [`DispatchPolicy::ShortestExpectedCompletion`] — plans the group
+//!   on *every* device model, previews its stage booking on each
+//!   device's timeline, and commits where the previewed completion is
 //!   minimal (ties to the lowest id). The planner's memo table makes
 //!   the extra plans nearly free — a pool mixes a handful of device
 //!   models, so each (shape, model) pair is planned once per run.
 //!
 //! Either way, each dispatch prices the job's staged [`ExecPlan`] for
 //! the chosen device's model — a heterogeneous pool prices the same
-//! stage structure differently on a V100 than on an A100 — and advances
-//! that device's clock by the plan's *composed* predicted wall clock
-//! (every Factor/Residual/Correct stage absorbed into one total, so a
-//! refinement plan is costed as a whole, not as its first stage).
+//! stage structure differently on a V100 than on an A100 — and books
+//! its Factor/Residual/Correct stages on that device's timelines (see
+//! [`crate::microbatch::dispatch_group_staged`]).
 //!
 //! Because the analytic timing model is data-independent, the predicted
 //! wall clock of a plan *is* the modeled wall clock of the functional
@@ -27,10 +26,10 @@
 //! suite), so schedules built from predictions are exact. And because a
 //! policy only chooses *placement*, never solver options beyond the
 //! per-device plan, solutions are bit-identical across policies.
+//!
+//! [`ExecPlan`]: crate::plan::ExecPlan
 
 use crate::job::Job;
-use crate::plan::ExecPlan;
-use crate::planner::Planner;
 use crate::pool::DevicePool;
 
 /// How the scheduler picks a device for the next job.
@@ -61,10 +60,10 @@ impl DispatchPolicy {
 }
 
 /// How stage-granular scheduling books, overlaps and re-books plan
-/// stages on the pool's timelines. The default ([`StageSchedConfig::staged`])
-/// turns everything on; [`StageSchedConfig::sequential`] books the same
-/// stage intervals contiguously — timing-identical to per-plan booking,
-/// the A/B control. None of these knobs ever changes which arithmetic
+/// stages on the pool's timelines. [`StageSchedConfig::staged`] turns
+/// everything on; [`StageSchedConfig::sequential`] books each plan's
+/// stage intervals contiguously, as one exclusive interval per plan —
+/// the engine default and the A/B control. None of these knobs ever changes which arithmetic
 /// runs for a *booked* pass: overlap and re-booking move work through
 /// simulated time only. `max_extra_passes` is the one exception by
 /// design — it lets a stalled refinement run extra passes past its
@@ -111,7 +110,7 @@ impl StageSchedConfig {
 
     /// Stage overlap only — worst-case booking, no re-booking, no
     /// extension. Isolates the cross-job overlap win in A/Bs, with
-    /// execution semantics identical to the per-plan path.
+    /// execution semantics identical to [`StageSchedConfig::sequential`].
     pub fn overlap_only() -> Self {
         StageSchedConfig {
             overlap: true,
@@ -122,9 +121,9 @@ impl StageSchedConfig {
         }
     }
 
-    /// Contiguous stage booking: timing-identical to per-plan booking
-    /// (the stage intervals tile the same composed interval) — the
-    /// baseline every staged schedule is compared against.
+    /// Contiguous stage booking: each plan's stage intervals tile one
+    /// composed interval that occupies both lanes — the baseline every
+    /// staged schedule is compared against, and the engine default.
     pub fn sequential() -> Self {
         StageSchedConfig {
             overlap: false,
@@ -133,12 +132,6 @@ impl StageSchedConfig {
             book_expected: false,
             max_extra_passes: 0,
         }
-    }
-}
-
-impl Default for StageSchedConfig {
-    fn default() -> Self {
-        StageSchedConfig::staged()
     }
 }
 
@@ -162,80 +155,6 @@ impl From<&Job> for JobShape {
             rows: job.rows(),
             cols: job.cols(),
             target_digits: job.target_digits,
-        }
-    }
-}
-
-/// One scheduled solve.
-#[derive(Clone, Debug)]
-pub struct Dispatch {
-    /// Index of the job in the submitted batch.
-    pub job: usize,
-    /// Pool id of the device the job runs on.
-    pub device: usize,
-    /// The staged plan chosen for this job on that device. The
-    /// scheduler consumes its composed totals (`predicted_ms`,
-    /// `predicted_kernel_ms`, `flops_paper`); the executor interprets
-    /// its stages.
-    pub plan: ExecPlan,
-    /// Simulated start time on the device, ms.
-    pub start_ms: f64,
-    /// Simulated completion time on the device, ms.
-    pub end_ms: f64,
-}
-
-/// Policy-driven device selection shared by singleton and fused
-/// dispatch: `price` is the per-device pricing oracle, returning an
-/// arbitrary payload (a plan, a plan-plus-fused-profile, …) and the
-/// predicted cost the policy ranks by. Least-loaded prices only the
-/// chosen earliest-idle device; shortest-expected-completion prices
-/// every device and commits where `clock + cost` is minimal, ties to
-/// the lowest id. Keeping this in one place means a policy change
-/// lands on the fused path for free.
-pub(crate) fn place_with<T>(
-    pool: &DevicePool,
-    policy: DispatchPolicy,
-    price: impl Fn(&gpusim::Gpu) -> (T, f64),
-) -> (usize, T) {
-    place_release(pool, policy, 0.0, price)
-}
-
-/// [`place_with`] with a simulated release time: the job cannot start
-/// before `release_ms`, so shortest-expected-completion ranks devices
-/// by `max(clock, release) + cost` — an idle device that must wait for
-/// the release no longer beats a busy one that would start (and
-/// finish) right after it.
-pub(crate) fn place_release<T>(
-    pool: &DevicePool,
-    policy: DispatchPolicy,
-    release_ms: f64,
-    price: impl Fn(&gpusim::Gpu) -> (T, f64),
-) -> (usize, T) {
-    match policy {
-        DispatchPolicy::LeastLoaded => {
-            let device = pool.least_loaded();
-            let (payload, _) = price(pool.gpu(device));
-            (device, payload)
-        }
-        DispatchPolicy::ShortestExpectedCompletion => {
-            assert!(!pool.is_empty(), "empty device pool");
-            pool.devices()
-                .iter()
-                .filter(|d| !d.is_lost())
-                .map(|d| {
-                    let (payload, cost_ms) = price(&d.gpu);
-                    // gap-aware: a composed booking may fit into a
-                    // mid-schedule hole, and the commit will take it
-                    let (_, end_ms) = pool.preview_wall(d.id, cost_ms, release_ms);
-                    pool.emit(|| mdls_obs::Event::SectPreview {
-                        device: d.id,
-                        end_ms,
-                    });
-                    (end_ms, d.id, payload)
-                })
-                .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
-                .map(|(_, id, payload)| (id, payload))
-                .expect("no surviving device in the pool")
         }
     }
 }
@@ -276,88 +195,13 @@ pub(crate) fn place_by_end<T>(
     }
 }
 
-/// Pick the device and plan for one job under `policy`, without
-/// committing anything to the pool.
-fn place(
-    pool: &DevicePool,
-    planner: &Planner,
-    shape: &JobShape,
-    policy: DispatchPolicy,
-) -> (usize, ExecPlan) {
-    place_with(pool, policy, |gpu| {
-        let plan = planner.plan(gpu, shape.rows, shape.cols, shape.target_digits);
-        let cost_ms = plan.predicted_ms;
-        (plan, cost_ms)
-    })
-}
-
-/// Dispatch one job: pick a device under `policy`, plan the job for
-/// that device's model, and commit the predicted cost to its clock.
-/// The single dispatch step shared by [`schedule`] and the streaming
-/// API — scheduling-policy changes happen here, once.
-pub fn dispatch_one(
-    pool: &mut DevicePool,
-    planner: &Planner,
-    job: usize,
-    shape: &JobShape,
-    policy: DispatchPolicy,
-) -> Dispatch {
-    let (device, plan) = place(pool, planner, shape, policy);
-    let (start_ms, end_ms) = pool.commit(
-        device,
-        plan.predicted_ms,
-        plan.predicted_kernel_ms,
-        plan.flops_paper,
-    );
-    Dispatch {
-        job,
-        device,
-        plan,
-        start_ms,
-        end_ms,
-    }
-}
-
-/// Schedule `shapes` over `pool` under `policy`, committing each job's
-/// predicted cost to its device clock. Returns one [`Dispatch`] per
-/// shape, in submission order.
-///
-/// Unlike the streaming path, the batch scheduler sees the whole queue
-/// up front, so under [`DispatchPolicy::ShortestExpectedCompletion`] it
-/// places jobs longest-first (classic LPT): purely arrival-ordered
-/// SECT equalizes `clock + cost` instead of `clock`, leaving slow
-/// devices idle at the tail, and a long job landing late on a slow
-/// device is exactly the makespan overhang LPT exists to prevent. The
-/// sort key is the plan's device-independent Table 1 flop count, so
-/// the order does not depend on the pool's composition.
-pub fn schedule(
-    pool: &mut DevicePool,
-    planner: &Planner,
-    shapes: &[JobShape],
-    policy: DispatchPolicy,
-) -> Vec<Dispatch> {
-    let mut order: Vec<usize> = (0..shapes.len()).collect();
-    if policy == DispatchPolicy::ShortestExpectedCompletion && !pool.is_empty() {
-        let flops: Vec<f64> = shapes
-            .iter()
-            .map(|s| {
-                planner
-                    .plan(pool.gpu(0), s.rows, s.cols, s.target_digits)
-                    .flops_paper
-            })
-            .collect();
-        order.sort_by(|&a, &b| flops[b].total_cmp(&flops[a]));
-    }
-    let mut dispatches: Vec<Option<Dispatch>> = vec![None; shapes.len()];
-    for &job in &order {
-        dispatches[job] = Some(dispatch_one(pool, planner, job, &shapes[job], policy));
-    }
-    dispatches.into_iter().map(|d| d.unwrap()).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::microbatch::MicrobatchConfig;
+    use crate::microbatch::{dispatch_group_staged, schedule_staged, GroupDispatch};
+    use crate::planner::Planner;
+    use crate::pool::StageReq;
     use gpusim::Gpu;
 
     fn mixed_shapes() -> Vec<JobShape> {
@@ -371,6 +215,35 @@ mod tests {
             });
         }
         shapes
+    }
+
+    /// Unfused, sequentially booked schedule of `shapes`: one dispatch
+    /// per job, in submission order.
+    fn schedule(
+        pool: &mut DevicePool,
+        planner: &Planner,
+        shapes: &[JobShape],
+        policy: DispatchPolicy,
+    ) -> Vec<GroupDispatch> {
+        schedule_staged(
+            pool,
+            planner,
+            shapes,
+            policy,
+            &MicrobatchConfig::off(),
+            &StageSchedConfig::sequential(),
+        )
+    }
+
+    fn dispatch_one(
+        pool: &mut DevicePool,
+        planner: &Planner,
+        job: usize,
+        shape: &JobShape,
+        policy: DispatchPolicy,
+    ) -> GroupDispatch {
+        let sched = StageSchedConfig::sequential();
+        dispatch_group_staged(pool, planner, vec![job], shape, policy, &sched, 0.0)
     }
 
     #[test]
@@ -446,9 +319,9 @@ mod tests {
 
     #[test]
     fn per_arrival_policies_agree_on_homogeneous_pools() {
-        // identical devices: `clock + predicted` ranks devices exactly
-        // like `clock` alone, so a single SECT dispatch reduces to
-        // least-loaded
+        // identical devices: previewed completion ranks devices exactly
+        // like the idle clock alone, so a single SECT dispatch reduces
+        // to least-loaded
         let shapes = mixed_shapes();
         let planner = Planner::new();
         let mut greedy = DevicePool::homogeneous(&Gpu::v100(), 3);
@@ -482,7 +355,7 @@ mod tests {
         );
         assert_eq!(ds.len(), shapes.len());
         for (i, (d, s)) in ds.iter().zip(&shapes).enumerate() {
-            assert_eq!(d.job, i);
+            assert_eq!(d.jobs, vec![i]);
             let expect = planner.plan(pool.gpu(d.device), s.rows, s.cols, s.target_digits);
             assert_eq!(d.plan, expect, "job {i} carries the wrong plan");
             assert!((d.end_ms - d.start_ms - expect.predicted_ms).abs() < 1e-9);
@@ -502,14 +375,17 @@ mod tests {
             target_digits: 100,
         };
         let planner = Planner::new();
+        let busy = |pool: &mut DevicePool| {
+            pool.commit_stages(0, &[StageReq::split(1.0, 0.0)], 0.8, 1.0e6, 1, false, 0.0);
+        };
 
         let mut pool = DevicePool::new(vec![Gpu::a100(), Gpu::p100()]);
-        pool.commit(0, 1.0, 0.8, 1.0e6);
+        busy(&mut pool);
         let g = dispatch_one(&mut pool, &planner, 0, &shape, DispatchPolicy::LeastLoaded);
         assert_eq!(g.device, 1, "greedy must take the idle P100");
 
         let mut pool = DevicePool::new(vec![Gpu::a100(), Gpu::p100()]);
-        pool.commit(0, 1.0, 0.8, 1.0e6);
+        busy(&mut pool);
         let s = dispatch_one(
             &mut pool,
             &planner,

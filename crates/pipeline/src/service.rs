@@ -19,8 +19,11 @@
 //!   device-ms and a tenant's head job dispatches once its deficit
 //!   covers the job's predicted cost. Optional per-tenant token-bucket
 //!   quotas cap sustained consumption (also in predicted device-ms,
-//!   priced on the pool's reference device model); settle-time refunds
-//!   credit the bucket back, extensions debit it.
+//!   priced on the pool's reference device model): a dispatch reserves
+//!   its predicted cost from the bucket the moment it is popped, so
+//!   jobs dispatched together in one round can never jointly overspend
+//!   it; settle-time refunds credit the bucket back, extensions debit
+//!   it, and a reservation whose job never runs returns whole.
 //!   [`ServicePolicy::Fifo`] is the no-isolation baseline: one global
 //!   arrival order, no weights, no quotas.
 //! * **Overload shedding.** A load detector prices the queued backlog
@@ -54,15 +57,18 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use crate::batch::{
-    emit_settled, latency_summary, settle_staged_dispatch, solve_planned_traced_with, Disposition,
-    JobOutcome, LatencySummary, PlannedSolve,
+    emit_settled, execute_all, execute_group, latency_summary, nearest_rank,
+    settle_staged_dispatch, Disposition, JobOutcome, LatencySummary, PlannedSolve,
 };
 use crate::job::{Job, Precision, SloClass, Solution, TenantId};
-use crate::microbatch::GroupDispatch;
+use crate::microbatch::{dispatch_group_on, GroupDispatch};
 use crate::plan::ExecPlan;
 use crate::planner::Planner;
 use crate::pool::DevicePool;
-use crate::resilient::{admit_job, tombstone_outcome, AdmissionConfig, AdmissionDecision};
+use crate::resilient::{
+    admit_job, emit_degraded, replay_transients, tombstone_outcome, AdmissionConfig,
+    AdmissionDecision,
+};
 use crate::scheduler::{DispatchPolicy, JobShape, StageSchedConfig};
 use mdls_obs::Event;
 
@@ -430,7 +436,6 @@ struct RoundEntry {
     shape: JobShape,
     g: GroupDispatch,
     probe: bool,
-    cost_ms: f64,
 }
 
 struct Shell<'a> {
@@ -598,7 +603,38 @@ impl<'a> Shell<'a> {
         false
     }
 
-    /// Pop the next job to dispatch under the configured policy.
+    /// Give job `j`'s dispatch-time charges back to tenant `t` when it
+    /// will not run from this pop: its quota reservation always, and —
+    /// when it goes back to its queue, to be charged again on its next
+    /// pop — its DRR deficit. A job shed after the pop keeps its
+    /// deficit spent: the scheduling turn it took is not handed back.
+    fn uncharge(&mut self, t: usize, j: usize, requeued: bool) {
+        if self.cfg.policy != ServicePolicy::WeightedFair {
+            return;
+        }
+        let cost = self.cost_ms[j];
+        let ts = &mut self.tenants[t];
+        if let Some(q) = ts.spec.quota {
+            ts.bucket_ms = (ts.bucket_ms + cost).min(q.burst_ms);
+        }
+        if requeued {
+            ts.deficit_ms += cost;
+        }
+    }
+
+    /// Put a popped job back at the head of its tenant's queue,
+    /// uncharged.
+    fn requeue(&mut self, t: usize, j: usize) {
+        self.uncharge(t, j, true);
+        self.tenants[t].queue.push_front(j);
+        self.pending_ms += self.cost_ms[j];
+    }
+
+    /// Pop the next job to dispatch under the configured policy. Under
+    /// weighted fair the pop charges the tenant on the spot: the DRR
+    /// deficit pays for the job and its predicted cost is reserved from
+    /// the quota bucket, so the next pop in the same round already sees
+    /// the drained bucket.
     fn pick_next(&mut self, pool: &DevicePool, now: f64, rr: &mut usize) -> Option<(usize, usize)> {
         let n = self.tenants.len();
         match self.cfg.policy {
@@ -628,6 +664,10 @@ impl<'a> Shell<'a> {
                     if self.tenants[t].deficit_ms + EPS >= cost {
                         let j = self.tenants[t].queue.pop_front().unwrap();
                         self.tenants[t].deficit_ms -= cost;
+                        if self.tenants[t].spec.quota.is_some() {
+                            let bucket = &mut self.tenants[t].bucket_ms;
+                            *bucket = (*bucket - cost).max(0.0);
+                        }
                         self.pending_ms -= cost;
                         // cursor stays: the tenant keeps serving while
                         // its deficit lasts (classic DRR)
@@ -641,16 +681,17 @@ impl<'a> Shell<'a> {
         }
     }
 
-    /// The overload ladder + deadline admission for a popped job.
-    /// Returns the job clone to dispatch, or `None` when it was shed
-    /// (tombstone already recorded).
-    fn pre_dispatch(&mut self, pool: &mut DevicePool, j: usize, now: f64) -> Option<Job> {
+    /// The overload ladder + deadline admission for a job tenant `t`
+    /// popped. Returns the job clone to dispatch, or `None` when it was
+    /// shed (tombstone already recorded, quota reservation given back).
+    fn pre_dispatch(&mut self, pool: &mut DevicePool, t: usize, j: usize, now: f64) -> Option<Job> {
         let alive = pool.alive_count().max(1) as f64;
         let load_ms = self.pending_ms / alive;
         let slo = self.jobs[j].slo;
         let over_shed = load_ms > self.cfg.overload.shed_backlog_ms;
         let over_degrade = load_ms > self.cfg.overload.degrade_backlog_ms;
         if over_shed && slo == SloClass::BestEffort {
+            self.uncharge(t, j, false);
             self.shed_job(pool, j, "overload", now);
             return None;
         }
@@ -660,12 +701,9 @@ impl<'a> Shell<'a> {
             if let Some(pos) = Precision::LADDER.iter().position(|r| *r == rung) {
                 if pos > 0 {
                     let to = Precision::LADDER[pos - 1].digits();
-                    let (id, from) = (self.jobs[j].id, self.cur_digits[j]);
-                    pool.emit(|| Event::JobDegraded {
-                        job: id,
-                        from_digits: from,
-                        to_digits: to,
-                    });
+                    let mut job = self.jobs[j].clone();
+                    job.target_digits = self.cur_digits[j];
+                    emit_degraded(pool, &job, to);
                     self.cur_digits[j] = to;
                     self.degraded[j] = true;
                 }
@@ -683,18 +721,14 @@ impl<'a> Shell<'a> {
         ) {
             AdmissionDecision::Admit => Some(job),
             AdmissionDecision::Degrade(digits) => {
-                let (id, from) = (job.id, job.target_digits);
-                pool.emit(|| Event::JobDegraded {
-                    job: id,
-                    from_digits: from,
-                    to_digits: digits,
-                });
+                emit_degraded(pool, &job, digits);
                 self.cur_digits[j] = digits;
                 self.degraded[j] = true;
                 job.target_digits = digits;
                 Some(job)
             }
             AdmissionDecision::Shed(predicted_end) => {
+                self.uncharge(t, j, false);
                 let (id, deadline) = (job.id, job.deadline_ms.unwrap_or(0.0));
                 pool.emit(|| Event::JobShed {
                     job: id,
@@ -714,60 +748,36 @@ impl<'a> Shell<'a> {
         }
     }
 
-    /// Book `job` on `device` (stage-granular, like
-    /// [`crate::microbatch::dispatch_group_staged`] with the placement
-    /// pinned — probes must land on the suspect device).
-    fn dispatch_pinned(
+    /// Book tenant `t`'s job `j` (as dispatched: `job`) on `device`,
+    /// stage-granular — the placement is pinned because probes must
+    /// land on the suspect device — as one entry of the current round.
+    fn book(
         &self,
         pool: &mut DevicePool,
-        job: &Job,
+        (t, j): (usize, usize),
+        job: Job,
         device: usize,
-        release_ms: f64,
-    ) -> GroupDispatch {
-        let (plan, fused) = self.planner.plan_fused(
-            pool.gpu(device),
-            job.rows(),
-            job.cols(),
-            job.target_digits,
-            1,
-        );
-        let passes = if self.cfg.sched.book_expected {
-            plan.expected_corrections
-        } else {
-            plan.corrections()
-        };
-        let reqs = fused.stage_reqs(ExecPlan::booked_stages(passes));
-        let booking = pool.commit_stages(
+        now: f64,
+        probe: bool,
+    ) -> RoundEntry {
+        let shape = JobShape::from(&job);
+        let jobs = vec![job.id as usize];
+        let g = dispatch_group_on(
+            pool,
+            &self.planner,
+            jobs,
+            &shape,
             device,
-            &reqs,
-            fused.predicted_kernel_ms,
-            fused.flops_paper,
-            1,
-            self.cfg.sched.overlap,
-            release_ms,
+            &self.cfg.sched,
+            now,
         );
-        for (i, (ps, iv)) in plan.stages.iter().zip(&booking.stages).enumerate() {
-            let id = job.id;
-            pool.emit(|| Event::StageBooked {
-                device,
-                job: id,
-                stage: i,
-                kind: ps.stage.kind(),
-                rung: ps.stage.rung().tag(),
-                host_start_ms: iv.host.0,
-                host_end_ms: iv.host.1,
-                dev_start_ms: iv.device.0,
-                dev_end_ms: iv.device.1,
-            });
-        }
-        GroupDispatch {
-            jobs: vec![job.id as usize],
-            device,
-            plan,
-            fused,
-            start_ms: booking.start_ms(),
-            end_ms: booking.end_ms(),
-            booking: Some(booking),
+        RoundEntry {
+            job_idx: j,
+            tenant_idx: t,
+            job,
+            shape,
+            g,
+            probe,
         }
     }
 
@@ -857,9 +867,10 @@ impl<'a> Shell<'a> {
         }
     }
 
-    /// Execute one round's dispatches: functionally (optionally across
-    /// scoped host threads — results land in per-index slots, so the
-    /// worker count can never change bits or order) or model-only.
+    /// Execute one round's dispatches: functionally (across
+    /// [`ServiceConfig::host_workers`] work-stealing host threads —
+    /// results come back in round order, so the worker count can never
+    /// change bits or order) or model-only.
     fn execute_round(&self, pool: &DevicePool, round: &[RoundEntry]) -> Vec<PlannedSolve> {
         match self.cfg.mode {
             ExecutionMode::ModelOnly => round
@@ -872,57 +883,35 @@ impl<'a> Shell<'a> {
                 .collect(),
             ExecutionMode::Functional => {
                 let extra = self.cfg.sched.max_extra_passes;
-                let workers = self.cfg.host_workers.max(1).min(round.len().max(1));
-                let chunk = round.len().div_ceil(workers).max(1);
-                let mut solved: Vec<Option<PlannedSolve>> =
-                    (0..round.len()).map(|_| None).collect();
-                std::thread::scope(|s| {
-                    for (es, outs) in round.chunks(chunk).zip(solved.chunks_mut(chunk)) {
-                        s.spawn(move || {
-                            for (e, o) in es.iter().zip(outs.iter_mut()) {
-                                *o = Some(solve_planned_traced_with(
-                                    pool.gpu(e.g.device),
-                                    &e.job,
-                                    &e.g.plan,
-                                    extra,
-                                ));
-                            }
-                        });
-                    }
-                });
-                solved
-                    .into_iter()
-                    .map(|s| s.expect("every round entry executed"))
-                    .collect()
+                execute_all(round, self.cfg.host_workers, |e| {
+                    execute_group(pool.gpu(e.g.device), &[&e.job], &e.g.plan, extra)
+                        .pop()
+                        .expect("a singleton group solves one job")
+                })
             }
         }
     }
 
     /// Settle one executed dispatch: refunds/extensions, transient
-    /// replays, breaker transitions, quota credit, and the outcome.
-    /// Returns `false` when a sticky loss interrupted the dispatch and
-    /// the job went back to its queue instead of completing.
+    /// replays, breaker transitions, quota reconciliation, and the
+    /// outcome. A sticky loss that interrupted the dispatch sends the
+    /// job back to its queue instead of completing it.
     fn settle_entry(&mut self, pool: &mut DevicePool, mut e: RoundEntry, solved: PlannedSolve) {
         let device = e.g.device;
-        let fplan = pool.gpu(device).fault.clone();
         // a sticky loss inside the executed interval interrupts the
         // dispatch: quarantine, refund the live booking, re-queue
-        if let Some(lost) = fplan.lost_at_ms() {
-            let end =
-                e.g.booking
-                    .as_ref()
-                    .and_then(|b| pool.live_booking(b.id))
-                    .map(|b| b.end_ms())
-                    .unwrap_or(e.g.end_ms);
+        if let Some(lost) = pool.gpu(device).fault.lost_at_ms() {
+            let end = pool
+                .live_booking(e.g.booking.id)
+                .map(|b| b.end_ms())
+                .unwrap_or(e.g.end_ms);
             if lost < end && !pool.devices()[device].is_lost() {
                 pool.fail_device(device, lost);
                 self.breakers[device].state = BreakerState::Open {
                     until_ms: f64::INFINITY,
                 };
                 self.retried[e.job_idx] = true;
-                let t = e.tenant_idx;
-                self.tenants[t].queue.push_front(e.job_idx);
-                self.pending_ms += e.cost_ms;
+                self.requeue(e.tenant_idx, e.job_idx);
                 return;
             }
         }
@@ -933,47 +922,18 @@ impl<'a> Shell<'a> {
         // transient kernel faults inside the executed interval: one
         // backed-off replay each (time moves, bits do not), and one
         // breaker strike each
-        let hits: Vec<f64> = fplan
-            .transients()
-            .iter()
-            .copied()
-            .filter(|t| *t >= e.g.start_ms && *t < e.g.end_ms)
-            .take(self.cfg.max_transient_retries)
-            .collect();
-        let mut end = e.g.end_ms;
-        let job_id = e.job.id;
-        for (r, at) in hits.iter().enumerate() {
-            pool.emit(|| Event::FaultInjected {
-                device,
-                job: job_id,
-                at_ms: *at,
-                retry: r,
-            });
-            let mut reqs = e.g.fused.extension_reqs();
-            if reqs.is_empty() {
-                reqs = e.g.fused.stage_reqs(usize::MAX);
-            }
-            let backoff = self.cfg.retry_backoff_ms * (1u64 << r) as f64;
-            let b = pool.commit_stages(
-                device,
-                &reqs,
-                0.0,
-                0.0,
-                0,
-                self.cfg.sched.overlap,
-                end + backoff,
-            );
-            pool.mark_settled(b.id);
-            pool.emit(|| Event::RetryBooked {
-                device,
-                job: job_id,
-                end_ms: b.end_ms(),
-                backoff_ms: backoff,
-            });
-            end = b.end_ms();
+        let hits = replay_transients(
+            pool,
+            &mut e.g,
+            self.cfg.max_transient_retries,
+            self.cfg.retry_backoff_ms,
+            self.cfg.sched.overlap,
+            e.job.id,
+        );
+        if !hits.is_empty() {
             self.retried[e.job_idx] = true;
         }
-        e.g.end_ms = end;
+        let end = e.g.end_ms;
 
         // breaker bookkeeping
         if self.cfg.breaker.enabled {
@@ -1011,23 +971,22 @@ impl<'a> Shell<'a> {
             }
         }
 
-        // quota credit: refunds return to the bucket, extensions drain
-        // it further
+        // quota reconciliation: the predicted cost was reserved at
+        // dispatch; refunds return to the bucket, extensions drain it
+        // further
         if self.cfg.policy == ServicePolicy::WeightedFair {
             let t = e.tenant_idx;
             if let Some(q) = self.tenants[t].spec.quota {
-                self.tenants[t].bucket_ms = (self.tenants[t].bucket_ms - e.cost_ms + refunded
-                    - extended)
-                    .clamp(0.0, q.burst_ms);
+                self.tenants[t].bucket_ms =
+                    (self.tenants[t].bucket_ms + refunded - extended).clamp(0.0, q.burst_ms);
             }
         }
 
         let model_only = self.cfg.mode == ExecutionMode::ModelOnly;
-        let mut outcome = JobOutcome::assemble_group(&[&e.job], &e.g, vec![solved])
-            .pop()
-            .expect("singleton group assembles one outcome");
-        outcome.refunded_ms = refunded;
-        outcome.extended_ms = extended;
+        let mut outcome =
+            JobOutcome::assemble_group(&[&e.job], &e.g, vec![solved], refunded, extended)
+                .pop()
+                .expect("singleton group assembles one outcome");
         outcome.requested_digits = self.jobs[e.job_idx].target_digits;
         outcome.disposition = if self.degraded[e.job_idx] {
             Disposition::Degraded
@@ -1062,7 +1021,7 @@ impl<'a> Shell<'a> {
             }
             while let Some((t, j)) = self.pick_next(pool, now, rr) {
                 progressed = true;
-                let Some(job) = self.pre_dispatch(pool, j, now) else {
+                let Some(job) = self.pre_dispatch(pool, t, j, now) else {
                     continue;
                 };
                 let at = now;
@@ -1073,17 +1032,7 @@ impl<'a> Shell<'a> {
                     at_ms: at,
                 });
                 self.breakers[d].summary.probes += 1;
-                let g = self.dispatch_pinned(pool, &job, d, now);
-                let shape = JobShape::from(&job);
-                round.push(RoundEntry {
-                    job_idx: j,
-                    tenant_idx: t,
-                    job,
-                    shape,
-                    g,
-                    probe: true,
-                    cost_ms: self.cost_ms[j],
-                });
+                round.push(self.book(pool, (t, j), job, d, now, true));
                 break;
             }
         }
@@ -1102,26 +1051,15 @@ impl<'a> Shell<'a> {
                 break;
             };
             progressed = true;
-            let Some(job) = self.pre_dispatch(pool, j, now) else {
+            let Some(job) = self.pre_dispatch(pool, t, j, now) else {
                 continue;
             };
             let Some(device) = self.place(pool, &job, now) else {
                 // raced against nothing — defensive: put the job back
-                self.tenants[t].queue.push_front(j);
-                self.pending_ms += self.cost_ms[j];
+                self.requeue(t, j);
                 break;
             };
-            let g = self.dispatch_pinned(pool, &job, device, now);
-            let shape = JobShape::from(&job);
-            round.push(RoundEntry {
-                job_idx: j,
-                tenant_idx: t,
-                job,
-                shape,
-                g,
-                probe: false,
-                cost_ms: self.cost_ms[j],
-            });
+            round.push(self.book(pool, (t, j), job, device, now, false));
         }
 
         if round.is_empty() {
@@ -1195,14 +1133,10 @@ impl<'a> Shell<'a> {
 }
 
 /// Exact nearest-rank percentile over an unsorted sample (0 when
-/// empty) — matching [`latency_summary`]'s convention.
+/// empty) — [`latency_summary`]'s convention.
 fn percentile(sample: &mut [f64], q: f64) -> f64 {
-    if sample.is_empty() {
-        return 0.0;
-    }
-    sample.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let rank = ((q * sample.len() as f64).ceil() as usize).clamp(1, sample.len());
-    sample[rank - 1]
+    sample.sort_by(f64::total_cmp);
+    nearest_rank(sample, q)
 }
 
 /// Run the multi-tenant service shell over `jobs` (see the module

@@ -10,27 +10,29 @@
 //! overtake speculative predictor solves that arrived earlier, as long
 //! as both sit in the buffer together. With the default window of 1
 //! (see [`solve_stream`]) the buffer holds exactly the next job and the
-//! stream is plain FIFO, bit- and timing-compatible with the original
-//! API.
+//! stream is plain FIFO.
 //!
-//! Dispatch decisions are made per job at drain time under a
-//! caller-chosen [`DispatchPolicy`], so a stream interleaved with other
-//! pool usage behaves like a live service queue. Numerics per job are
-//! identical to [`crate::batch::solve_batch`] — the solution never
-//! depends on which device a job lands on or when, only the simulated
-//! timing does.
+//! Dispatch decisions are made per group at drain time under the
+//! [`EngineConfig`]'s placement policy, through the same book
+//! ([`dispatch_group_staged`]) → execute → settle steps as the batch
+//! engine, so a stream interleaved with other pool usage behaves like a
+//! live service queue. Numerics per job are identical to
+//! [`crate::batch::solve_batch`] — the solution never depends on which
+//! device a job lands on or when, only the simulated timing does.
 
 use std::collections::{BinaryHeap, VecDeque};
 
 use crate::batch::{
-    emit_settled, settle_staged_dispatch, solve_planned_fused_with, solve_planned_traced_with,
-    Disposition, JobOutcome,
+    emit_settled, execute_group, observed_planner, settle_staged_dispatch, Disposition,
+    EngineConfig, JobOutcome,
 };
 use crate::job::Job;
-use crate::microbatch::{dispatch_group_at, dispatch_group_staged, MicrobatchConfig};
+use crate::microbatch::{dispatch_group_staged, MicrobatchConfig};
 use crate::planner::Planner;
 use crate::pool::DevicePool;
-use crate::resilient::{admit_job, tombstone_outcome, AdmissionConfig, AdmissionDecision};
+use crate::resilient::{
+    admit_job, emit_degraded, shed_at_ingress, AdmissionConfig, AdmissionDecision,
+};
 use crate::scheduler::{DispatchPolicy, JobShape, StageSchedConfig};
 use mdls_obs::Event;
 
@@ -84,181 +86,122 @@ pub struct BatchStream<'p, I> {
     pool: &'p mut DevicePool,
     planner: Planner,
     jobs: I,
-    policy: DispatchPolicy,
+    /// Placement policy, micro-batching, stage booking and ingress
+    /// admission (see [`EngineConfig`]). With fusion on, each dispatch
+    /// drains a maximal run of *consecutive* same-shaped jobs from the
+    /// reorder buffer (capped at the shape's preferred group size,
+    /// shrunk further when the front member's deadline is tight) and
+    /// fuses them into one batched launch sequence. Only drain-order
+    /// prefixes fuse, so priority/deadline ordering is exactly the
+    /// unfused stream's. The stream is a sequential dispatch → execute
+    /// → settle loop, so every refund is causal for the next dispatch
+    /// by construction.
+    cfg: EngineConfig,
     /// Reorder-buffer capacity: how many admitted jobs compete for the
     /// next dispatch slot. 1 = FIFO.
     window: usize,
     buffer: BinaryHeap<QueuedJob>,
-    /// Micro-batching: when set (the default), each dispatch drains a
-    /// maximal run of *consecutive* same-shaped jobs from the reorder
-    /// buffer (capped at the shape's preferred group size, shrunk
-    /// further when the front member's deadline is tight) and fuses
-    /// them into one batched launch sequence. Only drain-order prefixes
-    /// fuse, so priority/deadline ordering is exactly the unfused
-    /// stream's. [`MicrobatchConfig::off`] restores per-job launches.
-    micro: Option<MicrobatchConfig>,
-    /// Stage-level scheduling: when set, dispatches book stage-granular
-    /// lane-split intervals (overlapping the next group's prep under
-    /// the current group's compute), settle refunds online, and may
-    /// extend stalled jobs — see [`StageSchedConfig`]. The stream is
-    /// already a sequential dispatch→execute loop, so every refund is
-    /// causal for the next dispatch by construction.
-    sched: Option<StageSchedConfig>,
-    /// Ingress admission: when set, each deadlined job is previewed
-    /// against the surviving pool as it is popped and may be
-    /// down-laddered or shed before any booking — see
-    /// [`solve_stream_admitted`] and [`crate::resilient`].
-    admission: Option<AdmissionConfig>,
     /// Outcomes of the current fused group not yet yielded.
     ready: VecDeque<JobOutcome>,
     admitted: usize,
     dispatched: usize,
 }
 
-/// Stream `jobs` through `pool` in FIFO order under the default
-/// [`DispatchPolicy::LeastLoaded`]: each `next()` plans, dispatches and
-/// solves one job (or, by default, the run of consecutive same-shaped
-/// jobs it fuses with — see [`solve_stream_fused`] for the escape
-/// hatch). Equivalent to [`solve_stream_with`] with a reorder window
-/// of 1.
+/// Stream `jobs` through `pool` in FIFO order under
+/// [`EngineConfig::default`]: each `next()` plans, dispatches and
+/// solves one job (or the run of consecutive same-shaped jobs it fuses
+/// with). Equivalent to [`solve_stream_with`] with a reorder window of
+/// 1.
 pub fn solve_stream<'p, I>(pool: &'p mut DevicePool, jobs: I) -> BatchStream<'p, I::IntoIter>
 where
     I: IntoIterator<Item = Job>,
 {
-    solve_stream_with(pool, jobs, DispatchPolicy::LeastLoaded, 1)
+    solve_stream_with(pool, jobs, 1, &EngineConfig::default())
 }
 
-/// Stream `jobs` through `pool` under an explicit dispatch `policy` and
-/// reorder `window` (clamped to ≥ 1). A window of `w` admits up to `w`
-/// jobs from the input before every dispatch and drains them highest
-/// priority first, so a late high-priority job can overtake up to
-/// `w − 1` earlier low-priority ones.
+/// Stream `jobs` through `pool` with a reorder `window` (clamped to
+/// ≥ 1) under `cfg`. A window of `w` admits up to `w` jobs from the
+/// input before every dispatch and drains them highest priority first,
+/// so a late high-priority job can overtake up to `w − 1` earlier
+/// low-priority ones.
 ///
-/// Device micro-batching is **on by default** (drain-order prefixes
-/// only, so ordering is exactly the unfused stream's and bits never
-/// change); pass [`MicrobatchConfig::off`] to [`solve_stream_fused`]
-/// for the legacy per-job launch timing.
-pub fn solve_stream_with<'p, I>(
-    pool: &'p mut DevicePool,
-    jobs: I,
-    policy: DispatchPolicy,
-    window: usize,
-) -> BatchStream<'p, I::IntoIter>
-where
-    I: IntoIterator<Item = Job>,
-{
-    let mut planner = Planner::new();
-    if let Some(obs) = pool.observer() {
-        planner.attach_observer(obs.clone());
-    }
-    BatchStream {
-        pool,
-        planner,
-        jobs: jobs.into_iter(),
-        policy,
-        window: window.max(1),
-        buffer: BinaryHeap::new(),
-        micro: Some(MicrobatchConfig::default()),
-        sched: None,
-        admission: None,
-        ready: VecDeque::new(),
-        admitted: 0,
-        dispatched: 0,
-    }
-}
-
-/// [`solve_stream_with`] plus device-level micro-batching: each
-/// dispatch pulls the most urgent admitted job *and* every job the
-/// unfused stream would have dispatched immediately after it, as long
-/// as they share its shape key (up to the shape's occupancy-aware
-/// preferred group size), fusing them into one batched launch sequence
-/// booked as a single pool commitment.
+/// **Fusion** ([`EngineConfig::micro`]) pulls the most urgent admitted
+/// job *and* every job the unfused stream would have dispatched
+/// immediately after it, as long as they share its shape key (up to the
+/// shape's occupancy-aware preferred group size), into one batched
+/// launch sequence booked as a single pool commitment. It never reaches
+/// past the drain order: the buffer re-admits before every member is
+/// chosen, so a fused group is *exactly* the prefix of the dispatch
+/// sequence the unfused stream would have produced, and a group never
+/// waits for a job that has not arrived. Each member job is yielded as
+/// its own outcome, bit-identical to the unfused stream.
 ///
-/// Fusion never reaches past the drain order: the buffer re-admits
-/// before every member is chosen, so a fused group is *exactly* the
-/// prefix of the dispatch sequence the unfused stream would have
-/// produced — priority and deadline ordering are preserved verbatim,
-/// and a group never waits for a job that has not arrived. Each member
-/// job is yielded as its own outcome, bit-identical to the unfused
-/// stream; siblings share their group's simulated interval.
-pub fn solve_stream_fused<'p, I>(
-    pool: &'p mut DevicePool,
-    jobs: I,
-    policy: DispatchPolicy,
-    window: usize,
-    cfg: MicrobatchConfig,
-) -> BatchStream<'p, I::IntoIter>
-where
-    I: IntoIterator<Item = Job>,
-{
-    BatchStream {
-        micro: Some(cfg),
-        ..solve_stream_with(pool, jobs, policy, window)
-    }
-}
-
-/// [`solve_stream_fused`] with **stage-level scheduling**: every
-/// dispatch books its stages as lane-split intervals on the chosen
-/// device's timeline (the next group's factorization prep hides under
-/// the current group's device passes), adaptive early stops are
-/// re-booked online so the freed time is visible to the very next
-/// dispatch, and a job whose residual stalls above target may extend
-/// past its plan ([`StageSchedConfig::max_extra_passes`]). Ordering is
-/// the fused stream's; bits match every other path whenever the
-/// extension cap matches.
-pub fn solve_stream_staged<'p, I>(
-    pool: &'p mut DevicePool,
-    jobs: I,
-    policy: DispatchPolicy,
-    window: usize,
-    cfg: MicrobatchConfig,
-    sched: StageSchedConfig,
-) -> BatchStream<'p, I::IntoIter>
-where
-    I: IntoIterator<Item = Job>,
-{
-    BatchStream {
-        micro: Some(cfg),
-        sched: Some(sched),
-        ..solve_stream_with(pool, jobs, policy, window)
-    }
-}
-
-/// [`solve_stream_staged`] with **ingress admission**: every deadlined
+/// **Stage booking** ([`EngineConfig::sched`]) books every dispatch's
+/// stages as lane-split intervals on the chosen device's timeline;
+/// adaptive early stops settle online, so the freed time is visible to
+/// the very next dispatch.
+///
+/// **Ingress admission** ([`EngineConfig::admission`]): every deadlined
 /// job popped from the reorder buffer is previewed against the
 /// surviving pool before anything is booked, and an unmeetable request
 /// is down-laddered to the cheapest precision rung that fits its
 /// deadline ([`Disposition::Degraded`], original request preserved on
 /// [`JobOutcome::requested_digits`]) or shed at the door
 /// ([`Disposition::Shed`] — the outcome is yielded immediately, with
-/// nothing booked and nothing solved). Deadline-free jobs pass through
-/// untouched, as does everything when `admission.enabled` is false.
+/// nothing booked and nothing solved).
 ///
-/// The admitted stream is also **loss-aware**: before each pull, any
-/// device whose [`gpusim::FaultPlan`] sticky-loss threshold has come
-/// due on the simulated clock is failed, and when the alive set
-/// shrinks every *buffered* admission is re-previewed against the
-/// survivors — a verdict reached while the dead device still counted
-/// is stale, so unmeetable jobs re-shed (tombstones yield ahead of
-/// the next dispatch) and tight ones down-ladder in place.
+/// The stream is also **loss-aware**: before each pull, any device
+/// whose [`gpusim::FaultPlan`] sticky-loss threshold has come due on
+/// the simulated clock is failed, and when the alive set shrinks every
+/// *buffered* admission is re-previewed against the survivors — a
+/// verdict reached while the dead device still counted is stale, so
+/// unmeetable jobs re-shed (tombstones yield ahead of the next
+/// dispatch) and tight ones down-ladder in place.
+pub fn solve_stream_with<'p, I>(
+    pool: &'p mut DevicePool,
+    jobs: I,
+    window: usize,
+    cfg: &EngineConfig,
+) -> BatchStream<'p, I::IntoIter>
+where
+    I: IntoIterator<Item = Job>,
+{
+    BatchStream {
+        planner: observed_planner(pool),
+        pool,
+        jobs: jobs.into_iter(),
+        cfg: *cfg,
+        window: window.max(1),
+        buffer: BinaryHeap::new(),
+        ready: VecDeque::new(),
+        admitted: 0,
+        dispatched: 0,
+    }
+}
+
+/// [`solve_stream_with`] under an [`EngineConfig`] spelled out field by
+/// field (default recovery). Kept for callers that predate
+/// [`EngineConfig`], such as the repository benchmark.
 pub fn solve_stream_admitted<'p, I>(
     pool: &'p mut DevicePool,
     jobs: I,
     policy: DispatchPolicy,
     window: usize,
-    cfg: MicrobatchConfig,
+    micro: MicrobatchConfig,
     sched: StageSchedConfig,
     admission: AdmissionConfig,
 ) -> BatchStream<'p, I::IntoIter>
 where
     I: IntoIterator<Item = Job>,
 {
-    BatchStream {
-        micro: Some(cfg),
-        sched: Some(sched),
-        admission: Some(admission),
-        ..solve_stream_with(pool, jobs, policy, window)
-    }
+    let cfg = EngineConfig {
+        policy,
+        micro,
+        sched,
+        admission,
+        ..EngineConfig::default()
+    };
+    solve_stream_with(pool, jobs, window, &cfg)
 }
 
 impl<I> BatchStream<'_, I>
@@ -282,31 +225,11 @@ where
         }
     }
 
-    /// Emit the shed event and build the tombstone outcome for a job
-    /// turned away by admission — shared by the pop-time preview and
-    /// the loss-time re-preview.
+    /// The tombstone outcome for a job turned away by admission —
+    /// shared by the pop-time preview and the loss-time re-preview.
     fn shed_outcome(&mut self, job: &Job, predicted_end: f64) -> JobOutcome {
-        self.pool.emit(|| Event::JobShed {
-            job: job.id,
-            deadline_ms: job.deadline_ms.unwrap_or(0.0),
-            predicted_end_ms: predicted_end,
-        });
-        let device = self
-            .pool
-            .devices()
-            .iter()
-            .find(|d| !d.is_lost())
-            .map(|d| d.id)
-            .unwrap_or(0);
-        let (plan, _) = self.planner.plan_fused(
-            self.pool.gpu(device),
-            job.rows(),
-            job.cols(),
-            job.target_digits,
-            1,
-        );
         self.dispatched += 1;
-        tombstone_outcome(job, plan, device, Disposition::Shed, job.release())
+        shed_at_ingress(self.pool, &self.planner, job, predicted_end)
     }
 
     /// Apply sticky device losses that have come due on the simulated
@@ -317,11 +240,9 @@ where
     /// would book doomed work. Re-shed jobs tombstone straight into the
     /// ready queue; down-laddered jobs stay in the reorder buffer at
     /// the lower rung (remembering the requested digits so their
-    /// outcome reports [`Disposition::Degraded`]). No-op unless the
-    /// stream was built with ingress admission
-    /// ([`solve_stream_admitted`]).
+    /// outcome reports [`Disposition::Degraded`]). With admission off
+    /// every buffered job re-admits as is.
     fn reconcile_losses(&mut self) {
-        let Some(adm) = self.admission else { return };
         let floor = self.pool.min_clock_ms();
         let due: Vec<(usize, f64)> = self
             .pool
@@ -342,17 +263,13 @@ where
         for &(id, at) in &due {
             self.pool.fail_device(id, at);
         }
-        let overlap = self.sched.as_ref().map(|s| s.overlap).unwrap_or(false);
+        let (overlap, adm) = (self.cfg.sched.overlap, self.cfg.admission);
         for mut q in std::mem::take(&mut self.buffer).into_vec() {
             let release = q.job.release().max(self.pool.min_clock_ms());
             match admit_job(self.pool, &self.planner, &q.job, overlap, release, &adm) {
                 AdmissionDecision::Admit => self.buffer.push(q),
                 AdmissionDecision::Degrade(digits) => {
-                    self.pool.emit(|| Event::JobDegraded {
-                        job: q.job.id,
-                        from_digits: q.job.target_digits,
-                        to_digits: digits,
-                    });
+                    emit_degraded(self.pool, &q.job, digits);
                     q.requested_digits = q.requested_digits.or(Some(q.job.target_digits));
                     q.job.target_digits = digits;
                     self.buffer.push(q);
@@ -390,30 +307,31 @@ where
         // ingress admission: preview the deadlined job against the
         // surviving pool and shed or down-ladder before anything books
         let mut requested_digits = queued.requested_digits;
-        if let Some(adm) = self.admission {
-            let floor = job.release().max(self.pool.min_clock_ms());
-            let overlap = self.sched.as_ref().map(|s| s.overlap).unwrap_or(false);
-            match admit_job(self.pool, &self.planner, &job, overlap, floor, &adm) {
-                AdmissionDecision::Admit => {}
-                AdmissionDecision::Degrade(digits) => {
-                    self.pool.emit(|| Event::JobDegraded {
-                        job: job.id,
-                        from_digits: job.target_digits,
-                        to_digits: digits,
-                    });
-                    requested_digits = requested_digits.or(Some(job.target_digits));
-                    job.target_digits = digits;
-                }
-                AdmissionDecision::Shed(predicted_end) => {
-                    return Some(self.shed_outcome(&job, predicted_end));
-                }
+        let cfg = self.cfg;
+        let floor = job.release().max(self.pool.min_clock_ms());
+        match admit_job(
+            self.pool,
+            &self.planner,
+            &job,
+            cfg.sched.overlap,
+            floor,
+            &cfg.admission,
+        ) {
+            AdmissionDecision::Admit => {}
+            AdmissionDecision::Degrade(digits) => {
+                emit_degraded(self.pool, &job, digits);
+                requested_digits = requested_digits.or(Some(job.target_digits));
+                job.target_digits = digits;
+            }
+            AdmissionDecision::Shed(predicted_end) => {
+                return Some(self.shed_outcome(&job, predicted_end));
             }
         }
         let shape = JobShape::from(&job);
-        // the earliest the group could possibly start: the front job's
-        // arrival, or the soonest any device frees up — the reference
-        // point of the deadline slack and the member-arrival guard
-        let floor = job.release().max(self.pool.min_clock_ms());
+        // `floor` — the earliest the group could possibly start: the
+        // front job's arrival, or the soonest any device frees up — is
+        // the reference point of the deadline slack and the
+        // member-arrival guard
         // ...plus, when micro-batching, the run of jobs the unfused
         // stream would have dispatched next anyway, as long as they
         // share the shape key. Re-admitting before every member keeps
@@ -422,13 +340,13 @@ where
         // where it would have — so fusion can never violate priority or
         // deadline ordering.
         let mut group = vec![job];
-        if let Some(cfg) = self.micro.filter(|c| !c.is_off()) {
+        if !cfg.micro.is_off() {
             let mut preferred = self.planner.preferred_group_size(
                 shape.rows,
                 shape.cols,
                 shape.target_digits,
-                cfg.max_group,
-                cfg.tolerance,
+                cfg.micro.max_group,
+                cfg.micro.tolerance,
             );
             // deadline-aware cap: a fused group completes as a whole,
             // so when the front (most urgent) member's deadline is
@@ -481,58 +399,31 @@ where
         }
         let release = group.iter().map(|j| j.release()).fold(0.0f64, f64::max);
         let idxs: Vec<usize> = (0..group.len()).map(|i| self.dispatched + i).collect();
-        let mut g = match &self.sched {
-            Some(sched) => dispatch_group_staged(
-                self.pool,
-                &self.planner,
-                idxs,
-                &shape,
-                self.policy,
-                sched,
-                release,
-            ),
-            None => dispatch_group_at(self.pool, &self.planner, idxs, &shape, self.policy, release),
-        };
+        let mut g = dispatch_group_staged(
+            self.pool,
+            &self.planner,
+            idxs,
+            &shape,
+            cfg.policy,
+            &cfg.sched,
+            release,
+        );
         self.dispatched += group.len();
-        let extra = self.sched.map(|s| s.max_extra_passes).unwrap_or(0);
         let members: Vec<&Job> = group.iter().collect();
-        let solved = if members.len() == 1 {
-            vec![solve_planned_traced_with(
-                self.pool.gpu(g.device),
-                members[0],
-                &g.plan,
-                extra,
-            )]
-        } else {
-            solve_planned_fused_with(self.pool.gpu(g.device), &members, &g.plan, extra)
-        };
-        let mut assembled = match self.sched {
-            Some(sched) => {
-                // settle the stage booking online: refunds free the
-                // timeline spans before the next dispatch ever looks
-                // (the stream pull contract keeps dispatch → execute →
-                // settle sequential per group, so later groups also
-                // gap-fill into compacted holes)
-                let passes_run = solved.iter().map(|s| s.corrections_run).max().unwrap_or(0);
-                let (refunded, extended) =
-                    settle_staged_dispatch(self.pool, &mut g, &shape, passes_run, &sched);
-                let mut assembled = JobOutcome::assemble_group(&members, &g, solved);
-                for o in &mut assembled {
-                    o.refunded_ms = refunded;
-                    o.extended_ms = extended;
-                }
-                assembled
-            }
-            None => {
-                let assembled = JobOutcome::assemble_group(&members, &g, solved);
-                for o in &assembled {
-                    if o.refunded_ms > 0.0 {
-                        self.pool.reconcile(o.device, o.refunded_ms);
-                    }
-                }
-                assembled
-            }
-        };
+        let solved = execute_group(
+            self.pool.gpu(g.device),
+            &members,
+            &g.plan,
+            cfg.sched.max_extra_passes,
+        );
+        // settle the stage booking online: refunds free the timeline
+        // spans before the next dispatch ever looks (the stream pull
+        // contract keeps dispatch → execute → settle sequential per
+        // group, so later groups also gap-fill into compacted holes)
+        let passes_run = solved.iter().map(|s| s.corrections_run).max().unwrap_or(0);
+        let (refunded, extended) =
+            settle_staged_dispatch(self.pool, &mut g, &shape, passes_run, &cfg.sched);
+        let mut assembled = JobOutcome::assemble_group(&members, &g, solved, refunded, extended);
         if let Some(req) = requested_digits {
             // the down-laddered job is the group's front member
             if let Some(o) = assembled.first_mut() {
@@ -555,11 +446,20 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::solve_batch_with;
+    use crate::batch::{solve_batch, solve_batch_with};
     use crate::workload::power_flow_jobs;
     use gpusim::Gpu;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// The default engine under `policy` with fusion `micro`.
+    fn engine(policy: DispatchPolicy, micro: MicrobatchConfig) -> EngineConfig {
+        EngineConfig {
+            policy,
+            micro,
+            ..EngineConfig::default()
+        }
+    }
 
     #[test]
     fn stream_matches_batch() {
@@ -570,23 +470,12 @@ mod tests {
         // while the batch buckets across the whole queue, so exact
         // device/timing equality is the *unfused* contract
         let mut pool_b = DevicePool::homogeneous(&Gpu::v100(), 2);
-        let batch = crate::batch::solve_batch_fused_with(
-            &mut pool_b,
-            &jobs,
-            1,
-            DispatchPolicy::LeastLoaded,
-            &MicrobatchConfig::off(),
-        );
+        let unfused = engine(DispatchPolicy::LeastLoaded, MicrobatchConfig::off());
+        let batch = solve_batch_with(&mut pool_b, &jobs, &unfused);
 
         let mut pool_s = DevicePool::homogeneous(&Gpu::v100(), 2);
-        let streamed: Vec<JobOutcome> = solve_stream_fused(
-            &mut pool_s,
-            jobs.clone(),
-            DispatchPolicy::LeastLoaded,
-            1,
-            MicrobatchConfig::off(),
-        )
-        .collect();
+        let streamed: Vec<JobOutcome> =
+            solve_stream_with(&mut pool_s, jobs.clone(), 1, &unfused).collect();
 
         assert_eq!(streamed.len(), batch.outcomes.len());
         for (s, b) in streamed.iter().zip(&batch.outcomes) {
@@ -604,7 +493,7 @@ mod tests {
         // the default (fused) paths group differently but must still
         // agree with each other — and the unfused run — on every bit
         let mut pool_fb = DevicePool::homogeneous(&Gpu::v100(), 2);
-        let fused_batch = solve_batch_with(&mut pool_fb, &jobs, 1, DispatchPolicy::LeastLoaded);
+        let fused_batch = solve_batch(&mut pool_fb, &jobs);
         let mut pool_fs = DevicePool::homogeneous(&Gpu::v100(), 2);
         let fused_stream: Vec<JobOutcome> = solve_stream(&mut pool_fs, jobs).collect();
         for b in &fused_batch.outcomes {
@@ -637,9 +526,14 @@ mod tests {
         let corrector_id = jobs[5].id;
         jobs[5].priority = 1;
         let mut pool = DevicePool::homogeneous(&Gpu::v100(), 1);
-        let order: Vec<u64> = solve_stream_with(&mut pool, jobs, DispatchPolicy::LeastLoaded, 8)
-            .map(|o| o.job_id)
-            .collect();
+        let order: Vec<u64> = solve_stream_with(
+            &mut pool,
+            jobs,
+            8,
+            &engine(DispatchPolicy::LeastLoaded, MicrobatchConfig::default()),
+        )
+        .map(|o| o.job_id)
+        .collect();
         assert_eq!(
             order[0], corrector_id,
             "late corrector did not overtake: {order:?}"
@@ -656,9 +550,14 @@ mod tests {
         jobs[3].deadline_ms = Some(6.0);
         let expect = vec![jobs[2].id, jobs[3].id, jobs[1].id, jobs[0].id];
         let mut pool = DevicePool::homogeneous(&Gpu::v100(), 1);
-        let order: Vec<u64> = solve_stream_with(&mut pool, jobs, DispatchPolicy::LeastLoaded, 4)
-            .map(|o| o.job_id)
-            .collect();
+        let order: Vec<u64> = solve_stream_with(
+            &mut pool,
+            jobs,
+            4,
+            &engine(DispatchPolicy::LeastLoaded, MicrobatchConfig::default()),
+        )
+        .map(|o| o.job_id)
+        .collect();
         assert_eq!(order, expect, "not earliest-deadline-first");
     }
 
@@ -694,21 +593,19 @@ mod tests {
             })
             .collect();
         let mut pool_u = DevicePool::homogeneous(&Gpu::v100(), 2);
-        let unfused: Vec<JobOutcome> = solve_stream_fused(
+        let unfused: Vec<JobOutcome> = solve_stream_with(
             &mut pool_u,
             jobs.clone(),
-            DispatchPolicy::LeastLoaded,
             8,
-            MicrobatchConfig::off(),
+            &engine(DispatchPolicy::LeastLoaded, MicrobatchConfig::off()),
         )
         .collect();
         let mut pool_f = DevicePool::homogeneous(&Gpu::v100(), 2);
-        let fused: Vec<JobOutcome> = solve_stream_fused(
+        let fused: Vec<JobOutcome> = solve_stream_with(
             &mut pool_f,
             jobs,
-            DispatchPolicy::LeastLoaded,
             8,
-            MicrobatchConfig::default(),
+            &engine(DispatchPolicy::LeastLoaded, MicrobatchConfig::default()),
         )
         .collect();
         assert_eq!(unfused.len(), fused.len());
@@ -743,17 +640,20 @@ mod tests {
             }
         }
         let mut pool_u = DevicePool::homogeneous(&Gpu::v100(), 1);
-        let unfused: Vec<u64> =
-            solve_stream_with(&mut pool_u, jobs.clone(), DispatchPolicy::LeastLoaded, 6)
-                .map(|o| o.job_id)
-                .collect();
+        let unfused: Vec<u64> = solve_stream_with(
+            &mut pool_u,
+            jobs.clone(),
+            6,
+            &engine(DispatchPolicy::LeastLoaded, MicrobatchConfig::off()),
+        )
+        .map(|o| o.job_id)
+        .collect();
         let mut pool_f = DevicePool::homogeneous(&Gpu::v100(), 1);
-        let fused: Vec<u64> = solve_stream_fused(
+        let fused: Vec<u64> = solve_stream_with(
             &mut pool_f,
             jobs,
-            DispatchPolicy::LeastLoaded,
             6,
-            MicrobatchConfig::default(),
+            &engine(DispatchPolicy::LeastLoaded, MicrobatchConfig::default()),
         )
         .map(|o| o.job_id)
         .collect();
@@ -782,12 +682,11 @@ mod tests {
             .collect();
         let mut pool = DevicePool::homogeneous(&Gpu::v100(), 1);
         {
-            let mut stream = solve_stream_fused(
+            let mut stream = solve_stream_with(
                 &mut pool,
                 jobs,
-                DispatchPolicy::LeastLoaded,
                 2,
-                MicrobatchConfig::default(),
+                &engine(DispatchPolicy::LeastLoaded, MicrobatchConfig::default()),
             );
             let first = stream.next().unwrap();
             assert_eq!(first.fused_group, 1);
@@ -833,12 +732,11 @@ mod tests {
                 jobs[0].deadline_ms = Some(d);
             }
             let mut pool = DevicePool::homogeneous(&Gpu::v100(), 1);
-            let first = solve_stream_fused(
+            let first = solve_stream_with(
                 &mut pool,
                 jobs,
-                DispatchPolicy::LeastLoaded,
                 preferred * 2,
-                cfg,
+                &engine(DispatchPolicy::LeastLoaded, cfg),
             )
             .next()
             .unwrap();
@@ -867,11 +765,13 @@ mod tests {
         jobs[1].deadline_ms = Some(55.0); // unmeetable: a real miss
         jobs[2].release_ms = Some(50.0);
         let mut pool = DevicePool::homogeneous(&Gpu::v100(), 1);
-        let outs: Vec<JobOutcome> =
-            solve_stream_fused(&mut pool, jobs, DispatchPolicy::LeastLoaded, 1, {
-                MicrobatchConfig::off()
-            })
-            .collect();
+        let outs: Vec<JobOutcome> = solve_stream_with(
+            &mut pool,
+            jobs,
+            1,
+            &engine(DispatchPolicy::LeastLoaded, MicrobatchConfig::off()),
+        )
+        .collect();
         // job 0 runs from t=0; job 1 cannot start before its arrival
         assert_eq!(outs[0].start_ms, 0.0);
         assert!(outs[0].end_ms < 50.0);
@@ -903,12 +803,11 @@ mod tests {
             j[2].release_ms = Some(50.0);
             j
         };
-        let fused: Vec<JobOutcome> = solve_stream_fused(
+        let fused: Vec<JobOutcome> = solve_stream_with(
             &mut pool_f,
             jobs2,
-            DispatchPolicy::LeastLoaded,
             3,
-            MicrobatchConfig::default(),
+            &engine(DispatchPolicy::LeastLoaded, MicrobatchConfig::default()),
         )
         .collect();
         assert_eq!(fused[0].fused_group, 1, "job 0 fused with unarrived jobs");
@@ -928,8 +827,11 @@ mod tests {
         let reordered: Vec<JobOutcome> = solve_stream_with(
             &mut pool_r,
             jobs,
-            DispatchPolicy::ShortestExpectedCompletion,
             6,
+            &engine(
+                DispatchPolicy::ShortestExpectedCompletion,
+                MicrobatchConfig::default(),
+            ),
         )
         .collect();
         assert_eq!(fifo.len(), reordered.len());

@@ -9,9 +9,9 @@ use gpusim::{FaultPlan, Gpu};
 use mdls_matrix::HostMat;
 use mdls_pipeline::batch::Disposition;
 use mdls_pipeline::{
-    dispatch_group_staged, solve_batch_resilient, solve_stream_admitted, AdmissionConfig,
-    DevicePool, DispatchPolicy, ExecPlan, Job, JobShape, MicrobatchConfig, Planner,
-    ResilienceConfig, StageSchedConfig,
+    dispatch_group_staged, solve_batch_with, solve_stream_admitted, AdmissionConfig, DevicePool,
+    DispatchPolicy, EngineConfig, ExecPlan, Job, JobShape, MicrobatchConfig, Planner,
+    RecoveryPolicy, StageSchedConfig,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -30,6 +30,27 @@ fn diag_jobs(count: usize, n: usize, digits: u32, seed: u64) -> Vec<Job> {
             Job::new(id, a, b, digits)
         })
         .collect()
+}
+
+/// The resilient configuration of the engine: staged booking with
+/// admission on, fusion and recovery as given.
+fn resilient(micro: MicrobatchConfig, recovery: RecoveryPolicy) -> EngineConfig {
+    EngineConfig {
+        policy: DispatchPolicy::LeastLoaded,
+        micro,
+        sched: StageSchedConfig::staged(),
+        admission: AdmissionConfig::default(),
+        recovery,
+    }
+}
+
+/// The chaos-benchmark baseline: a device loss fails every interrupted
+/// job instead of re-dispatching it.
+fn fail_all() -> RecoveryPolicy {
+    RecoveryPolicy {
+        redispatch: false,
+        ..RecoveryPolicy::default()
+    }
 }
 
 /// Property (i): recovery never moves or re-runs a span on an
@@ -68,11 +89,7 @@ fn recovery_leaves_surviving_device_spans_untouched() {
     assert!(!report.interrupted.is_empty(), "loss interrupted nothing");
     assert!(report.lost_refund_ms > 0.0);
     for g in &bookings {
-        let hit = g
-            .booking
-            .as_ref()
-            .is_some_and(|b| report.interrupted.contains(&b.id));
-        if hit {
+        if report.interrupted.contains(&g.booking.id) {
             let idxs = g.jobs.clone();
             let shape = shapes[idxs[0]];
             let re = dispatch_group_staged(
@@ -125,14 +142,8 @@ fn down_laddered_job_achieves_its_degraded_rung() {
     let mut jobs = diag_jobs(1, n, 123, 0xdead);
     jobs[0].deadline_ms = Some(deadline);
     let mut pool = DevicePool::homogeneous(&Gpu::v100(), 1);
-    let report = solve_batch_resilient(
-        &mut pool,
-        &jobs,
-        DispatchPolicy::LeastLoaded,
-        &MicrobatchConfig::off(),
-        &StageSchedConfig::staged(),
-        &ResilienceConfig::default(),
-    );
+    let cfg = resilient(MicrobatchConfig::off(), RecoveryPolicy::default());
+    let report = solve_batch_with(&mut pool, &jobs, &cfg);
     let o = &report.outcomes[0];
     assert_eq!(o.disposition, Disposition::Degraded);
     assert_eq!(o.requested_digits, 123, "original request lost");
@@ -159,20 +170,11 @@ fn down_laddered_job_achieves_its_degraded_rung() {
 #[test]
 fn sticky_loss_mid_batch_recovers_every_job_bit_identically() {
     let jobs = diag_jobs(24, 10, 25, 0x4100);
-    let micro = MicrobatchConfig::default();
-    let sched = StageSchedConfig::staged();
-    let policy = DispatchPolicy::LeastLoaded;
+    let cfg = resilient(MicrobatchConfig::default(), RecoveryPolicy::default());
 
     // fault-free reference
     let mut quiet = DevicePool::homogeneous(&Gpu::v100(), 4);
-    let base = solve_batch_resilient(
-        &mut quiet,
-        &jobs,
-        policy,
-        &micro,
-        &sched,
-        &ResilienceConfig::default(),
-    );
+    let base = solve_batch_with(&mut quiet, &jobs, &cfg);
     assert!(base
         .outcomes
         .iter()
@@ -182,14 +184,7 @@ fn sticky_loss_mid_batch_recovers_every_job_bit_identically() {
     let t = base.makespan_ms / 3.0;
     let mut chaotic = DevicePool::homogeneous(&Gpu::v100(), 4);
     chaotic.set_fault_plan(0, FaultPlan::none().with_device_lost(t));
-    let recovered = solve_batch_resilient(
-        &mut chaotic,
-        &jobs,
-        policy,
-        &micro,
-        &sched,
-        &ResilienceConfig::default(),
-    );
+    let recovered = solve_batch_with(&mut chaotic, &jobs, &cfg);
     assert_eq!(chaotic.alive_count(), 3);
     let retried = recovered
         .outcomes
@@ -220,13 +215,10 @@ fn sticky_loss_mid_batch_recovers_every_job_bit_identically() {
     // the fail-the-batch baseline on the same fault schedule loses jobs
     let mut doomed = DevicePool::homogeneous(&Gpu::v100(), 4);
     doomed.set_fault_plan(0, FaultPlan::none().with_device_lost(t));
-    let failed = solve_batch_resilient(
+    let failed = solve_batch_with(
         &mut doomed,
         &jobs,
-        policy,
-        &micro,
-        &sched,
-        &ResilienceConfig::fail_all(),
+        &resilient(MicrobatchConfig::default(), fail_all()),
     );
     let lost = failed
         .outcomes
@@ -260,14 +252,8 @@ fn chaos_is_deterministic_end_to_end() {
             0,
             FaultPlan::seeded(21, 5.0e3, 100.0).with_device_lost(40.0),
         );
-        solve_batch_resilient(
-            &mut pool,
-            &jobs,
-            DispatchPolicy::LeastLoaded,
-            &MicrobatchConfig::default(),
-            &StageSchedConfig::staged(),
-            &ResilienceConfig::default(),
-        )
+        let cfg = resilient(MicrobatchConfig::default(), RecoveryPolicy::default());
+        solve_batch_with(&mut pool, &jobs, &cfg)
     };
     let a = run();
     let b = run();

@@ -110,9 +110,14 @@ fn weighted_fair_bounds_light_tenant_p99_under_burst() {
     assert!(tenant_summary(&fair, burst_id).p99_ms > fair_light.p99_ms);
 }
 
+/// Pool sizes every accounting test runs at: a quota or deficit gap
+/// between dispatch and settle only shows once more than one job can be
+/// in flight.
+const POOL_SIZES: [usize; 3] = [1, 2, 4];
+
 /// A zero-refill quota starves only its own tenant: the metered tenant
 /// completes what its bucket covers and sheds the rest, while the
-/// unmetered tenant completes everything.
+/// unmetered tenant completes everything — at every pool size.
 #[test]
 fn quota_exhaustion_sheds_only_the_exhausted_tenant() {
     let metered = TenantId(1);
@@ -134,21 +139,57 @@ fn quota_exhaustion_sheds_only_the_exhausted_tenant() {
         mode: ExecutionMode::ModelOnly,
         ..ServiceConfig::default()
     };
-    let mut pool = DevicePool::homogeneous(&Gpu::v100(), 1);
-    let report = serve(&mut pool, &jobs, &specs, &cfg);
+    for devices in POOL_SIZES {
+        let mut pool = DevicePool::homogeneous(&Gpu::v100(), devices);
+        let report = serve(&mut pool, &jobs, &specs, &cfg);
 
-    let m = tenant_summary(&report, metered);
-    let f = tenant_summary(&report, free);
-    assert_eq!(f.completed, 10, "unmetered tenant must be untouched");
-    assert_eq!(f.shed, 0);
-    assert_eq!(m.completed, 2, "bucket covers exactly two jobs");
-    assert_eq!(m.shed, 8, "the rest starve and shed");
-    assert!(m.quota_exhaustions >= 1, "dry spell must be counted");
-    assert!(report
-        .outcomes
-        .iter()
-        .filter(|o| o.tenant == metered)
-        .all(|o| o.disposition == Disposition::Ok || o.disposition == Disposition::Shed));
+        let m = tenant_summary(&report, metered);
+        let f = tenant_summary(&report, free);
+        assert_eq!(
+            f.completed, 10,
+            "{devices} devices: unmetered tenant touched"
+        );
+        assert_eq!(f.shed, 0);
+        assert_eq!(
+            m.completed, 2,
+            "{devices} devices: bucket covers exactly two jobs"
+        );
+        assert_eq!(m.shed, 8, "{devices} devices: the rest starve and shed");
+        assert!(m.quota_exhaustions >= 1, "dry spell must be counted");
+        assert!(report
+            .outcomes
+            .iter()
+            .filter(|o| o.tenant == metered)
+            .all(|o| o.disposition == Disposition::Ok || o.disposition == Disposition::Shed));
+    }
+}
+
+/// A bucket sized for 1.2 jobs pays for exactly one, however many
+/// devices could take the metered tenant's jobs in the same dispatch
+/// round: the predicted cost is reserved at dispatch, so the second
+/// job of a round already sees the drained bucket.
+#[test]
+fn quota_reserves_at_dispatch_so_one_round_cannot_overspend() {
+    let metered = TenantId(1);
+    let jobs = diag_jobs(8, 0, 25, 7, metered, SloClass::Standard, 0.0);
+    let planner = mdls_pipeline::Planner::new();
+    let (_, fused) = planner.plan_fused(&Gpu::v100(), 8, 8, 25, 1);
+    let cost = fused.predicted_ms;
+    // bucket covers ~1.2 jobs, zero refill
+    let specs = [TenantSpec::new(metered, "metered").with_quota(1.2 * cost, 0.0)];
+    let cfg = ServiceConfig {
+        mode: ExecutionMode::ModelOnly,
+        ..ServiceConfig::default()
+    };
+    for devices in POOL_SIZES {
+        let mut pool = DevicePool::homogeneous(&Gpu::v100(), devices);
+        let report = serve(&mut pool, &jobs, &specs, &cfg);
+        let t = &report.tenants[0];
+        assert_eq!(
+            t.completed, 1,
+            "{devices} devices: bucket covers exactly one job"
+        );
+    }
 }
 
 /// The service loop is bit- and schedule-deterministic: identical

@@ -8,8 +8,8 @@
 //! ```
 
 use multidouble_ls::pipeline::{
-    power_flow_jobs, solve_batch, solve_batch_policy, solve_stream_with, tracker_jobs, DevicePool,
-    DispatchPolicy, JobOutcome, Precision,
+    power_flow_jobs, solve_batch, solve_batch_with, solve_stream_with, tracker_jobs, DevicePool,
+    DispatchPolicy, EngineConfig, JobOutcome, Precision,
 };
 use multidouble_ls::sim::Gpu;
 use rand::rngs::StdRng;
@@ -122,7 +122,11 @@ fn main() {
     // expected-completion policy stops parking long deep-precision
     // solves on whatever device happens to be idle
     pool.reset();
-    let sect = solve_batch_policy(&mut pool, &jobs, DispatchPolicy::ShortestExpectedCompletion);
+    let sect_cfg = EngineConfig {
+        policy: DispatchPolicy::ShortestExpectedCompletion,
+        ..EngineConfig::default()
+    };
+    let sect = solve_batch_with(&mut pool, &jobs, &sect_cfg);
     println!(
         "\ndispatch policy A/B on this pool: greedy {:.1} ms vs sect {:.1} ms ({:+.1}%)",
         report.makespan_ms,
@@ -208,13 +212,7 @@ fn main() {
         .map(|j| j.id)
         .collect();
     pool.reset();
-    let drained: Vec<JobOutcome> = solve_stream_with(
-        &mut pool,
-        tracker,
-        DispatchPolicy::ShortestExpectedCompletion,
-        16,
-    )
-    .collect();
+    let drained: Vec<JobOutcome> = solve_stream_with(&mut pool, tracker, 16, &sect_cfg).collect();
     let lead: Vec<bool> = drained
         .iter()
         .take(8)

@@ -12,8 +12,8 @@ use std::sync::Arc;
 
 use multidouble_ls::obs::{metrics::Metrics, trace, Event, Recorder};
 use multidouble_ls::pipeline::{
-    jobs_for_shapes, latency_summary, solve_stream_staged, DevicePool, DispatchPolicy, JobOutcome,
-    JobShape, MicrobatchConfig, StageSchedConfig,
+    jobs_for_shapes, latency_summary, solve_stream_with, DevicePool, DispatchPolicy, EngineConfig,
+    JobOutcome, JobShape, StageSchedConfig,
 };
 use multidouble_ls::sim::Gpu;
 use rand::rngs::StdRng;
@@ -53,20 +53,17 @@ fn main() {
         }
         jobs
     };
-    let outs: Vec<JobOutcome> = solve_stream_staged(
-        &mut pool,
-        jobs,
-        DispatchPolicy::ShortestExpectedCompletion,
-        6,
-        MicrobatchConfig::default(),
+    let cfg = EngineConfig {
+        policy: DispatchPolicy::ShortestExpectedCompletion,
         // structural booking + online re-booking: early-certifying
         // correctors leave a reclaimable tail, visible as refunds
-        StageSchedConfig {
+        sched: StageSchedConfig {
             book_expected: false,
             ..StageSchedConfig::staged()
         },
-    )
-    .collect();
+        ..EngineConfig::default()
+    };
+    let outs: Vec<JobOutcome> = solve_stream_with(&mut pool, jobs, 6, &cfg).collect();
     let lat = latency_summary(&outs);
     println!(
         "{} jobs drained, makespan {:.1} ms; turnaround p50 {:.1} / p99 {:.1} ms, \
@@ -90,7 +87,7 @@ fn main() {
 
     // 4. export the schedule as a Chrome trace: one process per device
     //    with a `prep` and a `compute` track each — stage bookings as
-    //    duration slices, refunds / holds / extensions as instants
+    //    duration slices, refunds / extensions as instants
     let doc = trace::chrome_trace(&events);
     let slices = trace::validate_trace(&doc, pool.len()).expect("trace must validate");
     let path = std::path::Path::new("target").join("traced_service.json");

@@ -1,7 +1,7 @@
 //! Observer-inertness tests: attaching an observer must change
 //! *nothing* — solution bits, device placement, and every simulated
-//! timestamp are identical with and without one, on all three
-//! execution paths (plain batch, staged batch, stream). The observed
+//! timestamp are identical with and without one, on the default batch
+//! engine, the staged batch engine, and the stream. The observed
 //! runs also pin down what the event stream must contain, so the trace
 //! exporter and metrics aggregation are exercised against real
 //! pipeline output, not synthetic fixtures.
@@ -10,9 +10,8 @@ use std::sync::Arc;
 
 use multidouble_ls::obs::{metrics::Metrics, trace, Event, Recorder};
 use multidouble_ls::pipeline::{
-    bursty_tracker_jobs, power_flow_jobs, solve_batch_staged, solve_batch_with,
-    solve_stream_staged, BatchReport, DevicePool, DispatchPolicy, Job, JobOutcome,
-    MicrobatchConfig, StageSchedConfig,
+    bursty_tracker_jobs, power_flow_jobs, solve_batch, solve_batch_with, solve_stream_with,
+    BatchReport, DevicePool, DispatchPolicy, EngineConfig, Job, JobOutcome, StageSchedConfig,
 };
 use multidouble_ls::sim::Gpu;
 use rand::rngs::StdRng;
@@ -25,6 +24,15 @@ fn pool2() -> DevicePool {
 fn jobs(count: usize, seed: u64) -> Vec<Job> {
     let mut rng = StdRng::seed_from_u64(seed);
     power_flow_jobs(count, &mut rng)
+}
+
+/// Stage-level SECT with every staged knob on.
+fn staged_sect() -> EngineConfig {
+    EngineConfig {
+        policy: DispatchPolicy::ShortestExpectedCompletion,
+        sched: StageSchedConfig::staged(),
+        ..EngineConfig::default()
+    }
 }
 
 fn assert_identical_outcomes(plain: &[JobOutcome], observed: &[JobOutcome]) {
@@ -55,12 +63,12 @@ fn assert_identical_reports(plain: &BatchReport, observed: &BatchReport) {
 fn observer_is_inert_on_the_batch_path() {
     let jobs = jobs(40, 0x0b5e);
     let mut pool_plain = pool2();
-    let plain = solve_batch_with(&mut pool_plain, &jobs, 1, DispatchPolicy::LeastLoaded);
+    let plain = solve_batch(&mut pool_plain, &jobs);
 
     let recorder = Arc::new(Recorder::new());
     let mut pool_obs = pool2();
     pool_obs.attach_observer(recorder.clone());
-    let observed = solve_batch_with(&mut pool_obs, &jobs, 1, DispatchPolicy::LeastLoaded);
+    let observed = solve_batch(&mut pool_obs, &jobs);
 
     assert_identical_reports(&plain, &observed);
     // and the observed run actually produced an event stream
@@ -82,27 +90,13 @@ fn observer_is_inert_on_the_batch_path() {
 #[test]
 fn observer_is_inert_on_the_staged_path() {
     let jobs = jobs(36, 0x57a6ed);
-    let micro = MicrobatchConfig::default();
-    let sched = StageSchedConfig::staged();
     let mut pool_plain = pool2();
-    let plain = solve_batch_staged(
-        &mut pool_plain,
-        &jobs,
-        DispatchPolicy::ShortestExpectedCompletion,
-        &micro,
-        &sched,
-    );
+    let plain = solve_batch_with(&mut pool_plain, &jobs, &staged_sect());
 
     let recorder = Arc::new(Recorder::new());
     let mut pool_obs = pool2();
     pool_obs.attach_observer(recorder.clone());
-    let observed = solve_batch_staged(
-        &mut pool_obs,
-        &jobs,
-        DispatchPolicy::ShortestExpectedCompletion,
-        &micro,
-        &sched,
-    );
+    let observed = solve_batch_with(&mut pool_obs, &jobs, &staged_sect());
 
     assert_identical_reports(&plain, &observed);
     let events = recorder.events();
@@ -126,15 +120,7 @@ fn observer_is_inert_on_the_stream_path() {
         bursty_tracker_jobs(30, 6, 25.0, &mut rng)
     };
     let run = |pool: &mut DevicePool| -> Vec<JobOutcome> {
-        solve_stream_staged(
-            pool,
-            mk_jobs(),
-            DispatchPolicy::ShortestExpectedCompletion,
-            6,
-            MicrobatchConfig::default(),
-            StageSchedConfig::staged(),
-        )
-        .collect()
+        solve_stream_with(pool, mk_jobs(), 6, &staged_sect()).collect()
     };
     let mut pool_plain = pool2();
     let plain = run(&mut pool_plain);

@@ -2,14 +2,40 @@
 
 use multidouble_ls::matrix::HostMat;
 use multidouble_ls::pipeline::{
-    power_flow_jobs, schedule, solve_batch, solve_batch_fused_with, solve_batch_staged,
-    solve_batch_with, solve_planned, solve_stream_fused, solve_stream_with, tracker_jobs,
-    workload_mix, DevicePool, DispatchPolicy, Job, JobOutcome, JobShape, MicrobatchConfig, Planner,
-    StageSchedConfig,
+    power_flow_jobs, schedule_staged, solve_batch, solve_batch_with, solve_planned,
+    solve_stream_with, tracker_jobs, workload_mix, DevicePool, DispatchPolicy, EngineConfig, Job,
+    JobOutcome, JobShape, MicrobatchConfig, Planner, StageSchedConfig,
 };
 use multidouble_ls::sim::Gpu;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+/// The engine under `policy`, fusion `micro` and stage booking `sched`.
+fn engine(
+    policy: DispatchPolicy,
+    micro: MicrobatchConfig,
+    sched: StageSchedConfig,
+) -> EngineConfig {
+    EngineConfig {
+        policy,
+        micro,
+        sched,
+        ..EngineConfig::default()
+    }
+}
+
+/// Model-only schedule of `shapes`: one sequentially booked dispatch
+/// per job — the engine's booking phase with fusion off.
+fn schedule(pool: &mut DevicePool, planner: &Planner, shapes: &[JobShape], policy: DispatchPolicy) {
+    schedule_staged(
+        pool,
+        planner,
+        shapes,
+        policy,
+        &MicrobatchConfig::off(),
+        &StageSchedConfig::sequential(),
+    );
+}
 
 /// The headline property: `solve_batch` over ≥ 1000 mixed-shape jobs is
 /// *bit-identical* to solving each job sequentially with the same plan —
@@ -169,14 +195,14 @@ fn outcomes_are_bit_identical_across_policies() {
     let jobs = power_flow_jobs(120, &mut rng);
     let gpus = || vec![Gpu::v100(), Gpu::p100(), Gpu::a100()];
     let mut pool_g = DevicePool::new(gpus());
-    let greedy = solve_batch_with(&mut pool_g, &jobs, 1, DispatchPolicy::LeastLoaded);
+    let greedy = solve_batch(&mut pool_g, &jobs);
     let mut pool_s = DevicePool::new(gpus());
-    let sect = solve_batch_with(
-        &mut pool_s,
-        &jobs,
-        1,
+    let sect_cfg = engine(
         DispatchPolicy::ShortestExpectedCompletion,
+        MicrobatchConfig::default(),
+        StageSchedConfig::sequential(),
     );
+    let sect = solve_batch_with(&mut pool_s, &jobs, &sect_cfg);
     let mut moved = 0;
     for (g, s) in greedy.outcomes.iter().zip(&sect.outcomes) {
         assert_eq!(g.job_id, s.job_id);
@@ -207,13 +233,12 @@ fn late_corrector_overtakes_predictors_in_the_stream() {
     assert_eq!(corrector_ids.len(), 10);
 
     let mut pool = DevicePool::new(vec![Gpu::v100(), Gpu::p100()]);
-    let outcomes: Vec<JobOutcome> = solve_stream_with(
-        &mut pool,
-        jobs.clone(),
+    let sect = engine(
         DispatchPolicy::ShortestExpectedCompletion,
-        16,
-    )
-    .collect();
+        MicrobatchConfig::default(),
+        StageSchedConfig::sequential(),
+    );
+    let outcomes: Vec<JobOutcome> = solve_stream_with(&mut pool, jobs.clone(), 16, &sect).collect();
     assert_eq!(outcomes.len(), jobs.len());
     // within the first reorder window every corrector beats every
     // predictor: the 10 correctors all drain in the first 10+16-1 slots
@@ -253,10 +278,8 @@ fn late_corrector_overtakes_predictors_in_the_stream() {
 fn fused_batches_are_bit_identical_and_placement_invariant() {
     let mut rng = StdRng::seed_from_u64(0xf0_5ed);
     let jobs = power_flow_jobs(120, &mut rng);
-    let cfg = MicrobatchConfig::default();
-
     let mut pool = DevicePool::new(vec![Gpu::v100(), Gpu::a100()]);
-    let report = solve_batch_fused_with(&mut pool, &jobs, 1, DispatchPolicy::LeastLoaded, &cfg);
+    let report = solve_batch(&mut pool, &jobs);
     assert_eq!(report.outcomes.len(), jobs.len());
     assert!(
         report.fused_groups >= 4,
@@ -290,7 +313,7 @@ fn fused_batches_are_bit_identical_and_placement_invariant() {
     // placement invariance: an all-P100 pool fuses and places
     // differently but must produce the same bits
     let mut other = DevicePool::homogeneous(&Gpu::p100(), 3);
-    let again = solve_batch_fused_with(&mut other, &jobs, 1, DispatchPolicy::LeastLoaded, &cfg);
+    let again = solve_batch(&mut other, &jobs);
     for (a, b) in report.outcomes.iter().zip(&again.outcomes) {
         assert_eq!(a.job_id, b.job_id);
         assert_eq!(a.x, b.x, "job {}: pool changed the bits", a.job_id);
@@ -323,21 +346,13 @@ fn fused_batch_doubles_small_shape_throughput() {
         })
         .collect();
     let mut plain = DevicePool::homogeneous(&Gpu::v100(), 2);
-    let unfused = solve_batch_fused_with(
-        &mut plain,
-        &jobs,
-        1,
-        DispatchPolicy::LeastLoaded,
-        &MicrobatchConfig::off(),
-    );
+    let unfused_cfg = EngineConfig {
+        micro: MicrobatchConfig::off(),
+        ..EngineConfig::default()
+    };
+    let unfused = solve_batch_with(&mut plain, &jobs, &unfused_cfg);
     let mut micro = DevicePool::homogeneous(&Gpu::v100(), 2);
-    let fused = solve_batch_fused_with(
-        &mut micro,
-        &jobs,
-        1,
-        DispatchPolicy::LeastLoaded,
-        &MicrobatchConfig::default(),
-    );
+    let fused = solve_batch(&mut micro, &jobs);
     assert!(
         fused.solves_per_sec >= 2.0 * unfused.solves_per_sec,
         "fused {:.1}/s vs unfused {:.1}/s",
@@ -354,23 +369,24 @@ fn fused_batch_doubles_small_shape_throughput() {
 fn fused_stream_preserves_tracker_ordering_and_bits() {
     let mut rng = StdRng::seed_from_u64(0x7ac3d);
     let jobs = tracker_jobs(36, &mut rng);
+    let sect = |micro| {
+        engine(
+            DispatchPolicy::ShortestExpectedCompletion,
+            micro,
+            StageSchedConfig::sequential(),
+        )
+    };
     let mut pool_u = DevicePool::new(vec![Gpu::v100(), Gpu::p100()]);
     let unfused: Vec<JobOutcome> = solve_stream_with(
         &mut pool_u,
         jobs.clone(),
-        DispatchPolicy::ShortestExpectedCompletion,
         12,
+        &sect(MicrobatchConfig::off()),
     )
     .collect();
     let mut pool_f = DevicePool::new(vec![Gpu::v100(), Gpu::p100()]);
-    let fused: Vec<JobOutcome> = solve_stream_fused(
-        &mut pool_f,
-        jobs,
-        DispatchPolicy::ShortestExpectedCompletion,
-        12,
-        MicrobatchConfig::default(),
-    )
-    .collect();
+    let fused: Vec<JobOutcome> =
+        solve_stream_with(&mut pool_f, jobs, 12, &sect(MicrobatchConfig::default())).collect();
     assert_eq!(unfused.len(), fused.len());
     for (u, f) in unfused.iter().zip(&fused) {
         assert_eq!(u.job_id, f.job_id, "fusion changed the drain order");
@@ -380,24 +396,27 @@ fn fused_stream_preserves_tracker_ordering_and_bits() {
 
 /// Stage-level scheduling property: overlapped stage booking and
 /// online re-booking move work through simulated time only — every
-/// outcome of the staged engine is bit-identical to the per-plan batch
-/// path, and the staged schedule itself is placement-invariant (a
-/// different pool re-places and re-overlaps, the bits never move).
+/// outcome of the staged engine is bit-identical to the sequentially
+/// booked default, and the staged schedule itself is
+/// placement-invariant (a different pool re-places and re-overlaps,
+/// the bits never move).
 #[test]
 fn staged_scheduling_is_bit_identical_to_sequential_booking() {
     let mut rng = StdRng::seed_from_u64(0x57a6ed);
     let jobs = power_flow_jobs(90, &mut rng);
 
     let mut pool_legacy = DevicePool::new(vec![Gpu::v100(), Gpu::p100()]);
-    let legacy = solve_batch_with(&mut pool_legacy, &jobs, 1, DispatchPolicy::LeastLoaded);
+    let legacy = solve_batch(&mut pool_legacy, &jobs);
 
     let mut pool_staged = DevicePool::new(vec![Gpu::v100(), Gpu::p100()]);
-    let staged = solve_batch_staged(
+    let staged = solve_batch_with(
         &mut pool_staged,
         &jobs,
-        DispatchPolicy::ShortestExpectedCompletion,
-        &MicrobatchConfig::default(),
-        &StageSchedConfig::staged(),
+        &engine(
+            DispatchPolicy::ShortestExpectedCompletion,
+            MicrobatchConfig::default(),
+            StageSchedConfig::staged(),
+        ),
     );
     assert_eq!(staged.outcomes.len(), legacy.outcomes.len());
     for (l, s) in legacy.outcomes.iter().zip(&staged.outcomes) {
@@ -414,12 +433,14 @@ fn staged_scheduling_is_bit_identical_to_sequential_booking() {
     // placement invariance: a different pool under the same staged
     // config overlaps and re-books differently but returns the same bits
     let mut other = DevicePool::homogeneous(&Gpu::a100(), 3);
-    let again = solve_batch_staged(
+    let again = solve_batch_with(
         &mut other,
         &jobs,
-        DispatchPolicy::LeastLoaded,
-        &MicrobatchConfig::default(),
-        &StageSchedConfig::staged(),
+        &engine(
+            DispatchPolicy::LeastLoaded,
+            MicrobatchConfig::default(),
+            StageSchedConfig::staged(),
+        ),
     );
     for (a, b) in staged.outcomes.iter().zip(&again.outcomes) {
         assert_eq!(a.x, b.x, "job {}: pool changed staged bits", a.job_id);
@@ -467,12 +488,14 @@ fn online_rebooking_never_worsens_makespan() {
         let jobs = refund_jobs(12, seed);
         let run = |sched: &StageSchedConfig| {
             let mut pool = DevicePool::new(vec![Gpu::v100(), Gpu::v100(), Gpu::p100()]);
-            solve_batch_staged(
+            solve_batch_with(
                 &mut pool,
                 &jobs,
-                DispatchPolicy::ShortestExpectedCompletion,
-                &MicrobatchConfig::off(),
-                sched,
+                &engine(
+                    DispatchPolicy::ShortestExpectedCompletion,
+                    MicrobatchConfig::off(),
+                    *sched,
+                ),
             )
         };
         let post = run(&StageSchedConfig::overlap_only());
@@ -552,7 +575,7 @@ fn stalled_job_extends_passes_to_reach_target() {
 
     // legacy (no extension): the booked passes stall under target
     let mut pool = DevicePool::homogeneous(&Gpu::v100(), 1);
-    let legacy = solve_batch_with(&mut pool, &jobs, 1, DispatchPolicy::LeastLoaded);
+    let legacy = solve_batch(&mut pool, &jobs);
     let l = &legacy.outcomes[0];
     assert!(
         l.achieved_digits < target as f64,
@@ -564,12 +587,14 @@ fn stalled_job_extends_passes_to_reach_target() {
     // staged engine with extension: extra passes run (and are booked)
     // until the residual certifies the target
     let mut pool = DevicePool::homogeneous(&Gpu::v100(), 1);
-    let staged = solve_batch_staged(
+    let staged = solve_batch_with(
         &mut pool,
         &jobs,
-        DispatchPolicy::LeastLoaded,
-        &MicrobatchConfig::off(),
-        &StageSchedConfig::staged(),
+        &engine(
+            DispatchPolicy::LeastLoaded,
+            MicrobatchConfig::off(),
+            StageSchedConfig::staged(),
+        ),
     );
     let s = &staged.outcomes[0];
     assert!(

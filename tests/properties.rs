@@ -194,8 +194,9 @@ fn model_monotone_in_dimension() {
 mod timeline_props {
     use super::*;
     use multidouble_ls::pipeline::{
-        power_flow_jobs, solve_batch_staged_with, DevicePool, DispatchPolicy, MicrobatchConfig,
-        RebookMode, StageBooking, StageReq, StageSchedConfig, Timeline,
+        power_flow_jobs, schedule_staged, solve_batch_with, solve_planned, DevicePool,
+        DispatchPolicy, EngineConfig, JobShape, Planner, RebookMode, StageBooking, StageReq,
+        StageSchedConfig, Timeline,
     };
 
     /// Every lane invariant the pool promises: intervals are non-empty,
@@ -402,56 +403,234 @@ mod timeline_props {
         }
     }
 
-    /// The per-device-queue executor (scoped threads, one queue per
-    /// device) is bit- and schedule-identical to the serial executor:
-    /// same solution bits, same device placements, same simulated
-    /// `start_ms`/`end_ms` on every outcome.
+    /// The work-stealing executor is bit- and schedule-identical to a
+    /// serial reference: every outcome's bits equal the singleton
+    /// interpreter's ([`solve_planned`]) for its plan, every placement
+    /// equals the model-only schedule ([`schedule_staged`]) — exactly,
+    /// start and end to the bit, when settlement moves nothing
+    /// (`overlap_only`), and device for device under online re-booking
+    /// (`staged`, where settlement may slide queued work left) — and
+    /// two runs agree to the bit whatever the thread interleaving.
     #[test]
     fn staged_parallel_executor_matches_serial_bits_and_schedule() {
         let mut rng = StdRng::seed_from_u64(0x5e_91);
         let jobs = power_flow_jobs(24, &mut rng);
-        let sched = StageSchedConfig::staged();
-        let micro = MicrobatchConfig::default();
-        let run = |host_parallel: bool| {
-            let mut pool = DevicePool::new(vec![Gpu::v100(), Gpu::p100()]);
-            pool.set_staging_workers(1);
-            solve_batch_staged_with(
-                &mut pool,
-                &jobs,
-                DispatchPolicy::ShortestExpectedCompletion,
-                &micro,
+        let shapes: Vec<JobShape> = jobs.iter().map(JobShape::from).collect();
+        let gpus = vec![Gpu::v100(), Gpu::p100()];
+        for sched in [StageSchedConfig::overlap_only(), StageSchedConfig::staged()] {
+            let cfg = EngineConfig {
+                policy: DispatchPolicy::ShortestExpectedCompletion,
+                sched,
+                ..EngineConfig::default()
+            };
+            let run = || {
+                let mut pool = DevicePool::new(gpus.clone());
+                pool.set_staging_workers(1);
+                solve_batch_with(&mut pool, &jobs, &cfg)
+            };
+            let (a, b) = (run(), run());
+            let mut model = DevicePool::new(gpus.clone());
+            model.set_staging_workers(1);
+            let groups = schedule_staged(
+                &mut model,
+                &Planner::new(),
+                &shapes,
+                cfg.policy,
+                &cfg.micro,
                 &sched,
-                host_parallel,
-            )
-        };
-        let serial = run(false);
-        let parallel = run(true);
-        assert_eq!(serial.outcomes.len(), parallel.outcomes.len());
-        for (s, p) in serial.outcomes.iter().zip(&parallel.outcomes) {
-            assert_eq!(s.job_id, p.job_id, "settlement order diverged");
-            assert_eq!(s.device, p.device, "job {}: placement diverged", s.job_id);
-            assert_eq!(
-                s.x, p.x,
-                "job {}: parallel executor changed the bits",
-                s.job_id
             );
-            assert_eq!(
-                s.start_ms.to_bits(),
-                p.start_ms.to_bits(),
-                "job {}: start {} vs {}",
-                s.job_id,
-                s.start_ms,
-                p.start_ms
-            );
-            assert_eq!(
-                s.end_ms.to_bits(),
-                p.end_ms.to_bits(),
-                "job {}: end {} vs {}",
-                s.job_id,
-                s.end_ms,
-                p.end_ms
-            );
+            for g in &groups {
+                for &j in &g.jobs {
+                    let (o, p) = (&a.outcomes[j], &b.outcomes[j]);
+                    assert_eq!(o.device, g.device, "job {j}: placement diverged");
+                    if !sched.rebook {
+                        assert_eq!(o.start_ms.to_bits(), g.start_ms.to_bits(), "job {j}");
+                        assert_eq!(o.end_ms.to_bits(), g.end_ms.to_bits(), "job {j}");
+                    }
+                    let (x, residual) = solve_planned(model.gpu(o.device), &jobs[j], &o.plan);
+                    assert_eq!(o.x, x, "job {j}: parallel executor changed the bits");
+                    assert_eq!(o.residual, residual);
+                    assert_eq!(o.x, p.x);
+                    assert_eq!(o.start_ms.to_bits(), p.start_ms.to_bits(), "job {j}");
+                    assert_eq!(o.end_ms.to_bits(), p.end_ms.to_bits(), "job {j}");
+                }
+            }
+            assert_eq!(a.makespan_ms.to_bits(), b.makespan_ms.to_bits());
         }
-        assert_eq!(serial.makespan_ms.to_bits(), parallel.makespan_ms.to_bits());
+    }
+}
+
+// ---------------------------------------------------------------------------
+// One-engine equivalence: every configuration of the batch and stream
+// engines against the reference interpreter and the model-only schedule
+// ---------------------------------------------------------------------------
+
+mod engine_props {
+    use super::*;
+    use multidouble_ls::pipeline::{
+        jobs_for_shapes, schedule_staged, solve_batch_with, solve_planned, solve_stream_with,
+        BatchReport, DevicePool, DispatchPolicy, EngineConfig, Job, JobOutcome, JobShape,
+        MicrobatchConfig, Planner, StageSchedConfig,
+    };
+    use multidouble_ls::sim::FaultPlan;
+
+    /// Small seeded systems whose shape keys repeat (so fusion forms
+    /// real groups), across the d..qd rungs, all ready at t = 0 (the
+    /// model-only schedule knows shapes, not arrivals).
+    fn random_jobs(rng: &mut StdRng, count: usize) -> Vec<Job> {
+        let shapes: Vec<JobShape> = (0..count)
+            .map(|_| {
+                let cols = [6, 8, 12][rng.random_range(0.0..3.0) as usize];
+                JobShape {
+                    rows: cols + [0, 4][rng.random_range(0.0..2.0) as usize],
+                    cols,
+                    target_digits: [12, 25, 30, 50][rng.random_range(0.0..4.0) as usize],
+                }
+            })
+            .collect();
+        jobs_for_shapes(&shapes, rng)
+    }
+
+    /// `jobs` with a quarter of them arriving late.
+    fn with_releases(rng: &mut StdRng, jobs: &[Job]) -> Vec<Job> {
+        let mut jobs = jobs.to_vec();
+        for job in jobs.iter_mut() {
+            if rng.random_range(0.0..1.0) < 0.25 {
+                job.release_ms = Some(rng.random_range(0.0..2.0));
+            }
+        }
+        jobs
+    }
+
+    /// A pool of `n` devices, each a seeded pick of V100 or P100.
+    fn random_pool(rng: &mut StdRng, n: usize) -> Vec<Gpu> {
+        (0..n)
+            .map(|_| {
+                if rng.random_range(0.0..1.0) < 0.5 {
+                    Gpu::v100()
+                } else {
+                    Gpu::p100()
+                }
+            })
+            .collect()
+    }
+
+    fn schedule_of(outcomes: &[JobOutcome]) -> Vec<(usize, u64, u64)> {
+        outcomes
+            .iter()
+            .map(|o| (o.device, o.start_ms.to_bits(), o.end_ms.to_bits()))
+            .collect()
+    }
+
+    fn run(gpus: &[Gpu], jobs: &[Job], cfg: &EngineConfig, quiet: bool) -> BatchReport {
+        let mut pool = DevicePool::new(gpus.to_vec());
+        if quiet {
+            for d in 0..gpus.len() {
+                // a seeded plan over an empty horizon: no transient,
+                // no loss — recovery must find nothing to do
+                pool.set_fault_plan(d, FaultPlan::seeded(d as u64 + 1, 0.0, 1.0));
+            }
+        }
+        solve_batch_with(&mut pool, jobs, cfg)
+    }
+
+    /// Every engine configuration — placement policy × fusion on/off ×
+    /// {sequential, overlap_only, staged} — on seeded pools of 1..4
+    /// devices (mixed V100/P100) returns outcomes bit-identical to the
+    /// reference interpreter; quiet fault plans change nothing; the
+    /// batch's placements are the model-only schedule's (to the bit
+    /// wherever settlement moves nothing); and — with late arrivals in
+    /// the mix — a window-1 unfused stream under sequential booking is
+    /// schedule-identical to the unfused batch.
+    #[test]
+    fn every_engine_config_matches_the_reference_interpreter() {
+        let scheds = [
+            StageSchedConfig::sequential(),
+            StageSchedConfig::overlap_only(),
+            StageSchedConfig::staged(),
+        ];
+        for seed in 0u64..8 {
+            let mut rng = StdRng::seed_from_u64(0xe9_0000 + seed);
+            let gpus = random_pool(&mut rng, 1 + seed as usize % 4);
+            let jobs = random_jobs(&mut rng, 18);
+            let shapes: Vec<JobShape> = jobs.iter().map(JobShape::from).collect();
+            let ctx = format!("seed {seed}, {} devices", gpus.len());
+            for policy in [
+                DispatchPolicy::LeastLoaded,
+                DispatchPolicy::ShortestExpectedCompletion,
+            ] {
+                for micro in [MicrobatchConfig::default(), MicrobatchConfig::off()] {
+                    for sched in scheds {
+                        let cfg = EngineConfig {
+                            policy,
+                            micro,
+                            sched,
+                            ..EngineConfig::default()
+                        };
+                        let report = run(&gpus, &jobs, &cfg, false);
+                        let quiet = run(&gpus, &jobs, &cfg, true);
+                        assert_eq!(
+                            schedule_of(&report.outcomes),
+                            schedule_of(&quiet.outcomes),
+                            "{ctx}: quiet fault plans moved the schedule ({cfg:?})"
+                        );
+                        let mut model = DevicePool::new(gpus.clone());
+                        let groups = schedule_staged(
+                            &mut model,
+                            &Planner::new(),
+                            &shapes,
+                            policy,
+                            &micro,
+                            &sched,
+                        );
+                        let settles_in_place = !sched.rebook && sched.max_extra_passes == 0;
+                        for g in &groups {
+                            for &j in &g.jobs {
+                                let o = &report.outcomes[j];
+                                assert_eq!(o.device, g.device, "{ctx}, job {j}: {cfg:?}");
+                                if settles_in_place {
+                                    assert_eq!(
+                                        (o.start_ms.to_bits(), o.end_ms.to_bits()),
+                                        (g.start_ms.to_bits(), g.end_ms.to_bits()),
+                                        "{ctx}, job {j}: schedule diverged ({cfg:?})"
+                                    );
+                                }
+                                let (x, residual) =
+                                    solve_planned(model.gpu(o.device), &jobs[j], &o.plan);
+                                assert_eq!(o.x, x, "{ctx}, job {j}: bits diverged ({cfg:?})");
+                                assert_eq!(o.residual, residual);
+                                assert_eq!(quiet.outcomes[j].x, x);
+                            }
+                        }
+                    }
+                }
+            }
+            // the stream drains FIFO and places each job on arrival,
+            // like the least-loaded batch in submission order (SECT's
+            // longest-first batch ordering has no stream analogue)
+            let unfused = EngineConfig {
+                micro: MicrobatchConfig::off(),
+                ..EngineConfig::default()
+            };
+            let released = with_releases(&mut rng, &jobs);
+            let batch = run(&gpus, &released, &unfused, false);
+            assert_eq!(
+                schedule_of(&batch.outcomes),
+                schedule_of(&run(&gpus, &released, &unfused, true).outcomes),
+                "{ctx}: quiet fault plans moved the released schedule"
+            );
+            let mut pool = DevicePool::new(gpus.clone());
+            let streamed: Vec<JobOutcome> =
+                solve_stream_with(&mut pool, released, 1, &unfused).collect();
+            assert_eq!(
+                schedule_of(&streamed),
+                schedule_of(&batch.outcomes),
+                "{ctx}: window-1 stream diverged from the unfused batch"
+            );
+            for (s, b) in streamed.iter().zip(&batch.outcomes) {
+                assert_eq!(s.job_id, b.job_id);
+                assert_eq!(s.x, b.x);
+            }
+        }
     }
 }
