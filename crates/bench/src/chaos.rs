@@ -101,10 +101,7 @@ fn count(r: &BatchReport, d: Disposition) -> usize {
 fn chaos_arms(jobs: &[Job]) -> Vec<(&'static str, BatchReport, Metrics)> {
     let (base, base_m) = run_arm(jobs, None, RecoveryPolicy::default());
     let t = base.makespan_ms * LOSS_FRACTION;
-    let fail_all = RecoveryPolicy {
-        redispatch: false,
-        ..RecoveryPolicy::default()
-    };
+    let fail_all = RecoveryPolicy { redispatch: false };
     let (failed, failed_m) = run_arm(jobs, Some(t), fail_all);
     let (recovered, recovered_m) = run_arm(jobs, Some(t), RecoveryPolicy::default());
     vec![

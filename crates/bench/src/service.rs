@@ -146,7 +146,6 @@ fn service_cfg(policy: ServicePolicy) -> ServiceConfig {
             max_faults: 3,
             backoff_ms: 20.0 * c25,
         },
-        ..ServiceConfig::default()
     }
 }
 

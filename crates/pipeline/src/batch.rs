@@ -53,8 +53,8 @@ use crate::plan::ExecPlan;
 use crate::planner::{PlanCacheStats, Planner};
 use crate::pool::{DevicePool, DeviceStats, RebookMode};
 use crate::resilient::{
-    admit_job, emit_degraded, recover_losses, replay_transients, shed_at_ingress,
-    tombstone_outcome, AdmissionConfig, AdmissionDecision, RecoveryPolicy,
+    admit, recover_losses, replay_transients, tombstone_outcome, AdmissionConfig, Admitted,
+    RecoveryPolicy,
 };
 use crate::scheduler::{DispatchPolicy, JobShape, StageSchedConfig};
 use mdls_obs::Event;
@@ -758,6 +758,12 @@ fn interpret<F: MdReal, H: MdReal>(
     }
 }
 
+/// Host threads an engine runs one round's functional solves on: the
+/// machine's available parallelism (4 when it cannot be read).
+pub(crate) fn host_workers() -> usize {
+    std::thread::available_parallelism().map_or(4, |n| n.get())
+}
+
 /// Run `work` over every item on `workers` scoped host threads that
 /// pull the next unclaimed index (work stealing), returning results in
 /// item order. Execution is purely functional — the same interpreter
@@ -798,7 +804,7 @@ pub(crate) fn execute_all<T: Sync, R: Send>(
 ///
 /// Each "off" has one representation: fusion off is
 /// [`MicrobatchConfig::off`], admission off is
-/// `AdmissionConfig { enabled: false, .. }`, and fault recovery only
+/// `AdmissionConfig { enabled: false }`, and fault recovery only
 /// ever acts on pools that carry a fault plan (on a quiet pool its
 /// steps find nothing to do).
 #[derive(Clone, Copy, Debug)]
@@ -823,10 +829,7 @@ impl Default for EngineConfig {
             policy: DispatchPolicy::LeastLoaded,
             micro: MicrobatchConfig::default(),
             sched: StageSchedConfig::sequential(),
-            admission: AdmissionConfig {
-                enabled: false,
-                ..AdmissionConfig::default()
-            },
+            admission: AdmissionConfig { enabled: false },
             recovery: RecoveryPolicy::default(),
         }
     }
@@ -894,25 +897,25 @@ pub fn solve_batch_with(pool: &mut DevicePool, jobs: &[Job], cfg: &EngineConfig)
     let mut shapes: Vec<JobShape> = jobs.iter().map(JobShape::from).collect();
     let mut dispo = vec![Disposition::Ok; jobs.len()];
     let mut admitted: Vec<usize> = Vec::with_capacity(jobs.len());
+    let (overlap, enabled) = (sched.overlap, cfg.admission.enabled);
     for (i, job) in jobs.iter().enumerate() {
-        match admit_job(
+        match admit(
             pool,
             &planner,
             job,
-            sched.overlap,
+            overlap,
             job.release(),
-            &cfg.admission,
+            enabled,
+            job.release(),
         ) {
-            AdmissionDecision::Admit => admitted.push(i),
-            AdmissionDecision::Degrade(digits) => {
-                emit_degraded(pool, job, digits);
-                shapes[i].target_digits = digits;
-                dispo[i] = Disposition::Degraded;
+            Admitted::Run { digits, degraded } => {
+                if degraded {
+                    shapes[i].target_digits = digits;
+                    dispo[i] = Disposition::Degraded;
+                }
                 admitted.push(i);
             }
-            AdmissionDecision::Shed(predicted_end) => {
-                outcomes[i] = Some(shed_at_ingress(pool, &planner, job, predicted_end));
-            }
+            Admitted::Shed(tombstone) => outcomes[i] = Some(*tombstone),
         }
     }
 
@@ -950,8 +953,7 @@ pub fn solve_batch_with(pool: &mut DevicePool, jobs: &[Job], cfg: &EngineConfig)
 
     let solved: Vec<Option<Vec<PlannedSolve>>> = {
         let pool: &DevicePool = pool;
-        let workers = std::thread::available_parallelism().map_or(4, |n| n.get());
-        execute_all(&booked, workers, |b| {
+        execute_all(&booked, host_workers(), |b| {
             b.dead_at.is_none().then(|| {
                 let members: Vec<&Job> = b.g.jobs.iter().map(|&j| &jobs[j]).collect();
                 execute_group(
@@ -985,14 +987,7 @@ pub fn solve_batch_with(pool: &mut DevicePool, jobs: &[Job], cfg: &EngineConfig)
         let passes_run = solved.iter().map(|s| s.corrections_run).max().unwrap_or(0);
         let (refunded, extended) =
             settle_staged_dispatch(pool, &mut b.g, &b.shape, passes_run, sched);
-        let hits = replay_transients(
-            pool,
-            &mut b.g,
-            cfg.recovery.max_transient_retries,
-            cfg.recovery.backoff_ms,
-            sched.overlap,
-            members[0].id,
-        );
+        let hits = replay_transients(pool, &mut b.g, sched.overlap, members[0].id);
         makespan_ms = makespan_ms.max(b.g.end_ms);
         let assembled = JobOutcome::assemble_group(&members, &b.g, solved, refunded, extended);
         for (&j, mut o) in b.g.jobs.iter().zip(assembled) {

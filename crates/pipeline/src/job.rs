@@ -259,16 +259,6 @@ impl Solution {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// Leading-double view of the solution (lossy for deep rungs).
-    pub fn leading_f64(&self) -> Vec<f64> {
-        match self {
-            Solution::D1(x) => x.clone(),
-            Solution::D2(x) => x.iter().map(|v| v.to_f64()).collect(),
-            Solution::D4(x) => x.iter().map(|v| v.to_f64()).collect(),
-            Solution::D8(x) => x.iter().map(|v| v.to_f64()).collect(),
-        }
-    }
 }
 
 #[cfg(test)]

@@ -43,12 +43,14 @@
 //!    re-booking with slide-left compaction ([`DevicePool::rebook`])
 //!    and pass extension for stalled jobs; deadline admission
 //!    ([`AdmissionConfig`]) that sheds or down-ladders unmeetable
-//!    requests at ingress; and fault recovery ([`resilient`],
-//!    [`RecoveryPolicy`]) that re-plans work a seeded
-//!    [`gpusim::FaultPlan`] device loss interrupted onto the survivors
-//!    and replays transient faults. Every job ends in an explicit
-//!    [`Disposition`]; booking modes and recovery move work through
-//!    simulated time only, never bits.
+//!    requests at ingress; and fault recovery ([`RecoveryPolicy`])
+//!    that re-plans work a seeded [`gpusim::FaultPlan`] device loss
+//!    interrupted onto the survivors and replays transient faults.
+//!    Every job ends in an explicit [`Disposition`]; booking modes and
+//!    recovery move work through simulated time only, never bits.
+//!    [`resilient`] holds the one ingress step all three front ends
+//!    share: deadline admission, the tombstone of a job that never
+//!    ran, and the scan for sticky losses that have come due.
 //! 4. **Multi-tenant service shell** ([`service`]) — [`serve`] fronts
 //!    the same book → execute → settle steps for many callers at once:
 //!    per-tenant *bounded* ingress queues with a [`Backpressure`]
@@ -58,9 +60,10 @@
 //!    that sheds or down-ladders the cheapest [`SloClass`] first, and
 //!    per-device circuit breakers keyed off each device's
 //!    transient-fault rate (quarantine via [`DevicePool::fail_device`],
-//!    probe-based re-admission after a seeded backoff). Entirely
-//!    simulated time; bit- and schedule-deterministic across runs and
-//!    host worker counts.
+//!    probe-based re-admission after a seeded backoff). Its
+//!    [`ServiceConfig`] sets only the fairness policy, the overload
+//!    thresholds, the breakers and the execution mode. Entirely
+//!    simulated time; bit- and schedule-deterministic across runs.
 //!
 //! Policies and priorities move jobs across devices and through time;
 //! they never change numerics — every outcome stays bit-identical to

@@ -689,12 +689,15 @@ impl DevicePool {
         self.devices.iter().filter(|d| !d.is_lost()).count()
     }
 
-    /// Earliest clock over the pool, ms — the soonest any device could
-    /// start new work (the deadline-slack reference of the stream's
-    /// fused-group cap).
+    /// Earliest clock over the surviving devices, ms — the soonest any
+    /// device could start new work (the stream's sticky-loss floor and
+    /// the deadline-slack reference of its fused-group cap). A lost
+    /// device's clock stops moving, so it never counts; `f64::MAX` when
+    /// no device survives.
     pub fn min_clock_ms(&self) -> f64 {
         self.devices
             .iter()
+            .filter(|d| !d.is_lost())
             .map(|d| d.clock_ms())
             .fold(f64::INFINITY, f64::min)
             .min(f64::MAX)

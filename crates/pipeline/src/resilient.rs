@@ -3,7 +3,10 @@
 //!
 //! The helpers here are the steps the batch engine
 //! ([`crate::batch::solve_batch_with`]) runs around its book → execute
-//! → settle loop, and the stream and service shells share:
+//! → settle loop. Batch, stream and service share one ingress step:
+//! `admit` (deadline admission), `tombstone` (the outcome of a job
+//! that never ran or never finished) and `due_losses` (the sticky
+//! losses due by a given instant).
 //!
 //! * **Admission** — before anything is booked, every deadlined job is
 //!   previewed against the surviving pool
@@ -46,63 +49,52 @@ use crate::planner::Planner;
 use crate::pool::DevicePool;
 use mdls_obs::Event;
 
-/// Ingress admission control for deadlined jobs.
+/// Cap on transient-fault replays per dispatch (ECC-replay style),
+/// shared by the batch engine and [`crate::service::serve`].
+pub(crate) const MAX_TRANSIENT_RETRIES: usize = 3;
+
+/// Base of the exponential transient-replay backoff, simulated ms:
+/// replay `r` books no earlier than `RETRY_BACKOFF_MS · 2^r` after the
+/// failed end.
+pub(crate) const RETRY_BACKOFF_MS: f64 = 0.05;
+
+/// Ingress admission control for deadlined jobs: a job no rung can
+/// finish in time is shed, and one that only a cheaper rung can finish
+/// is down-laddered to it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct AdmissionConfig {
     /// Master switch: when false, every job is admitted as requested.
     pub enabled: bool,
-    /// Allow down-laddering an unmeetable request to a cheaper
-    /// precision rung that fits the deadline.
-    pub degrade: bool,
-    /// Allow shedding a job no rung can finish in time. When false such
-    /// a job runs anyway and is counted as an honest deadline miss.
-    pub shed: bool,
 }
 
 impl Default for AdmissionConfig {
     fn default() -> Self {
-        AdmissionConfig {
-            enabled: true,
-            degrade: true,
-            shed: true,
-        }
+        AdmissionConfig { enabled: true }
     }
 }
 
 /// What to do about faults once they happen.
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RecoveryPolicy {
     /// Re-plan and re-dispatch groups interrupted by a sticky device
     /// loss onto the survivors. False = the fail-the-batch baseline:
     /// interrupted jobs end [`Disposition::Failed`].
     pub redispatch: bool,
-    /// Cap on transient-fault replays per group (ECC-replay style).
-    pub max_transient_retries: usize,
-    /// Base of the exponential retry backoff, simulated ms: retry `r`
-    /// books no earlier than `backoff_ms · 2^r` after the failed end.
-    pub backoff_ms: f64,
 }
 
 impl Default for RecoveryPolicy {
     fn default() -> Self {
-        RecoveryPolicy {
-            redispatch: true,
-            max_transient_retries: 3,
-            backoff_ms: 0.05,
-        }
+        RecoveryPolicy { redispatch: true }
     }
 }
 
-/// Outcome of previewing one job against the surviving pool.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub(crate) enum AdmissionDecision {
-    /// Run as requested.
-    Admit,
-    /// Run down-laddered to this many target digits.
-    Degrade(u32),
-    /// No rung fits the deadline; the payload is the predicted
-    /// completion at the *requested* digits (the miss magnitude).
-    Shed(f64),
+/// What ingress admission made of one job.
+#[derive(Clone, Debug)]
+pub(crate) enum Admitted {
+    /// Run at `digits`; `degraded` when they are below the request.
+    Run { digits: u32, degraded: bool },
+    /// No rung fits the deadline: the job's shed tombstone.
+    Shed(Box<JobOutcome>),
 }
 
 /// Earliest predicted completion of a singleton solve of
@@ -127,71 +119,98 @@ fn earliest_end(
     best
 }
 
-/// Decide one job's fate at ingress. Deadline-free jobs always admit;
-/// a deadlined job admits at the cheapest acceptable digits — the
-/// requested digits when they fit, else (under
-/// [`AdmissionConfig::degrade`]) the highest cheaper rung that fits,
-/// else [`AdmissionDecision::Shed`] (under [`AdmissionConfig::shed`]).
-pub(crate) fn admit_job(
+/// The one ingress step of the batch, stream and service front ends.
+/// Deadline-free jobs, and every job when admission is off or no
+/// device survives, run as requested. A deadlined job previewed (from
+/// `release`) to meet its deadline at the requested digits runs at
+/// them; else it runs at the highest cheaper rung that does (announced
+/// as [`Event::JobDegraded`]); else it is shed (announced as
+/// [`Event::JobShed`]) with a tombstone stamped at `shed_at_ms`.
+pub(crate) fn admit(
     pool: &DevicePool,
     planner: &Planner,
     job: &Job,
     overlap: bool,
     release: f64,
-    cfg: &AdmissionConfig,
-) -> AdmissionDecision {
-    let Some(deadline) = job.deadline_ms else {
-        return AdmissionDecision::Admit;
+    enabled: bool,
+    shed_at_ms: f64,
+) -> Admitted {
+    let run = |digits: u32| Admitted::Run {
+        digits,
+        degraded: digits != job.target_digits,
     };
-    if !cfg.enabled || pool.alive_count() == 0 {
-        return AdmissionDecision::Admit;
+    let Some(deadline) = job.deadline_ms else {
+        return run(job.target_digits);
+    };
+    if !enabled || pool.alive_count() == 0 {
+        return run(job.target_digits);
     }
-    let requested_end = earliest_end(
-        pool,
-        planner,
-        job.rows(),
-        job.cols(),
-        job.target_digits,
-        overlap,
-        release,
-    );
+    let end_at = |digits: u32| {
+        earliest_end(
+            pool,
+            planner,
+            job.rows(),
+            job.cols(),
+            digits,
+            overlap,
+            release,
+        )
+    };
+    let requested_end = end_at(job.target_digits);
     if requested_end <= deadline {
-        return AdmissionDecision::Admit;
+        return run(job.target_digits);
     }
-    if cfg.degrade {
-        // walk the ladder downward: the nearest cheaper rung that fits
-        // loses the fewest digits
-        let requested_rung = Precision::for_digits(job.target_digits);
-        for rung in Precision::LADDER
-            .into_iter()
-            .rev()
-            .filter(|r| *r < requested_rung)
-        {
-            let end = earliest_end(
-                pool,
-                planner,
-                job.rows(),
-                job.cols(),
-                rung.digits(),
-                overlap,
-                release,
-            );
-            if end <= deadline {
-                return AdmissionDecision::Degrade(rung.digits());
-            }
+    // walk the ladder downward: the nearest cheaper rung that fits
+    // loses the fewest digits
+    let requested_rung = Precision::for_digits(job.target_digits);
+    for rung in Precision::LADDER
+        .into_iter()
+        .rev()
+        .filter(|r| *r < requested_rung)
+    {
+        if end_at(rung.digits()) <= deadline {
+            emit_degraded(pool, job, rung.digits());
+            return run(rung.digits());
         }
     }
-    if cfg.shed {
-        AdmissionDecision::Shed(requested_end)
-    } else {
-        AdmissionDecision::Admit
-    }
+    pool.emit(|| Event::JobShed {
+        job: job.id,
+        deadline_ms: deadline,
+        predicted_end_ms: requested_end,
+    });
+    Admitted::Shed(Box::new(tombstone(
+        pool,
+        planner,
+        job,
+        job.target_digits,
+        Disposition::Shed,
+        shed_at_ms,
+    )))
 }
 
-/// A terminal outcome for a job that never ran (shed at ingress) or
-/// never finished (lost with recovery off). `end_ms` is the moment the
-/// verdict fell: the release for a shed job, the loss time for a
-/// failed one.
+/// A terminal outcome for a job that never ran (shed) or never
+/// finished (lost): an empty solution with its plan at `digits` on the
+/// first surviving device (device 0 when none survives), stamped at
+/// `at_ms`, the moment the verdict fell.
+pub(crate) fn tombstone(
+    pool: &DevicePool,
+    planner: &Planner,
+    job: &Job,
+    digits: u32,
+    disposition: Disposition,
+    at_ms: f64,
+) -> JobOutcome {
+    let device = pool
+        .devices()
+        .iter()
+        .find(|d| !d.is_lost())
+        .map(|d| d.id)
+        .unwrap_or(0);
+    let (plan, _) = planner.plan_fused(pool.gpu(device), job.rows(), job.cols(), digits, 1);
+    tombstone_outcome(job, plan, device, disposition, at_ms)
+}
+
+/// [`tombstone`] with the plan and device already chosen.
 pub(crate) fn tombstone_outcome(
     job: &Job,
     plan: ExecPlan,
@@ -221,7 +240,7 @@ pub(crate) fn tombstone_outcome(
     }
 }
 
-/// Announce an admission down-ladder of `job` to `digits`.
+/// Announce a down-ladder of `job` to `digits`.
 pub(crate) fn emit_degraded(pool: &DevicePool, job: &Job, digits: u32) {
     pool.emit(|| Event::JobDegraded {
         job: job.id,
@@ -230,34 +249,24 @@ pub(crate) fn emit_degraded(pool: &DevicePool, job: &Job, digits: u32) {
     });
 }
 
-/// Shed `job` at ingress: announce the unmeetable deadline and build
-/// its tombstone, planned on the first surviving device and stamped at
-/// the job's release.
-pub(crate) fn shed_at_ingress(
-    pool: &DevicePool,
-    planner: &Planner,
-    job: &Job,
-    predicted_end: f64,
-) -> JobOutcome {
-    pool.emit(|| Event::JobShed {
-        job: job.id,
-        deadline_ms: job.deadline_ms.unwrap_or(0.0),
-        predicted_end_ms: predicted_end,
-    });
-    let device = pool
+/// The surviving devices whose fault plan loses them by `t`, as
+/// `(device, loss time)` sorted by (time, id) — the one scan behind
+/// every front end's sticky-loss handling.
+pub(crate) fn due_losses(pool: &DevicePool, t: f64) -> Vec<(usize, f64)> {
+    let mut due: Vec<(usize, f64)> = pool
         .devices()
         .iter()
-        .find(|d| !d.is_lost())
-        .map(|d| d.id)
-        .unwrap_or(0);
-    let (plan, _) = planner.plan_fused(
-        pool.gpu(device),
-        job.rows(),
-        job.cols(),
-        job.target_digits,
-        1,
-    );
-    tombstone_outcome(job, plan, device, Disposition::Shed, job.release())
+        .filter(|d| !d.is_lost())
+        .filter_map(|d| {
+            d.gpu
+                .fault
+                .lost_at_ms()
+                .filter(|&at| at <= t)
+                .map(|at| (d.id, at))
+        })
+        .collect();
+    due.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+    due
 }
 
 /// Apply the sticky device losses the pool's fault plans schedule,
@@ -278,13 +287,7 @@ pub(crate) fn recover_losses(
     dispo: &mut [Disposition],
     cfg: &EngineConfig,
 ) {
-    let mut losses: Vec<(usize, f64)> = pool
-        .devices()
-        .iter()
-        .filter_map(|d| d.gpu.fault.lost_at_ms().map(|t| (d.id, t)))
-        .collect();
-    losses.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-    for (id, t) in losses {
+    for (id, t) in due_losses(pool, f64::INFINITY) {
         let report = pool.fail_device(id, t);
         let hit: HashSet<u64> = report.interrupted.iter().copied().collect();
         for b in booked.iter_mut().filter(|b| hit.contains(&b.g.booking.id)) {
@@ -311,16 +314,15 @@ pub(crate) fn recover_losses(
 
 /// Replay the transient kernel faults of `g`'s device that landed
 /// inside its settled interval, à la ECC replay: each of the first
-/// `max_retries` such faults books one backed-off replay of the group's
-/// steady-state pass (or, for direct plans, the whole booking) no
-/// earlier than `backoff_ms · 2^r` after the previous end. Time moves,
+/// [`MAX_TRANSIENT_RETRIES`] such faults books one backed-off replay of
+/// the group's steady-state pass (or, for direct plans, the whole
+/// booking) no earlier than `RETRY_BACKOFF_MS · 2^r` after the previous
+/// end. Time moves,
 /// bits do not. Extends `g.end_ms` over the replays and returns the
 /// fault instants replayed (empty on a quiet device).
 pub(crate) fn replay_transients(
     pool: &mut DevicePool,
     g: &mut GroupDispatch,
-    max_retries: usize,
-    backoff_ms: f64,
     overlap: bool,
     job: u64,
 ) -> Vec<f64> {
@@ -332,7 +334,7 @@ pub(crate) fn replay_transients(
         .iter()
         .copied()
         .filter(|t| *t >= g.start_ms && *t < g.end_ms)
-        .take(max_retries)
+        .take(MAX_TRANSIENT_RETRIES)
         .collect();
     for (r, at) in hits.iter().enumerate() {
         pool.emit(|| Event::FaultInjected {
@@ -345,7 +347,7 @@ pub(crate) fn replay_transients(
         if reqs.is_empty() {
             reqs = g.fused.stage_reqs(usize::MAX);
         }
-        let backoff = backoff_ms * (1u64 << r) as f64;
+        let backoff = RETRY_BACKOFF_MS * (1u64 << r) as f64;
         let b = pool.commit_stages(device, &reqs, 0.0, 0.0, 0, overlap, g.end_ms + backoff);
         pool.mark_settled(b.id);
         pool.emit(|| Event::RetryBooked {

@@ -15,8 +15,8 @@
 //!   therefore never consume unbounded buffer space.
 //! * **Weighted-fair dispatch.** Under [`ServicePolicy::WeightedFair`]
 //!   a deficit-round-robin scheduler visits tenants cyclically; each
-//!   visit grants `quantum_ms × weight` of deficit in predicted
-//!   device-ms and a tenant's head job dispatches once its deficit
+//!   visit grants a fixed quantum of 1 predicted device-ms × the
+//!   tenant's weight and a tenant's head job dispatches once its deficit
 //!   covers the job's predicted cost. Optional per-tenant token-bucket
 //!   quotas cap sustained consumption (also in predicted device-ms,
 //!   priced on the pool's reference device model): a dispatch reserves
@@ -33,8 +33,9 @@
 //!   first*: best-effort jobs are down-laddered one precision rung,
 //!   then shed outright, before a standard job is touched —
 //!   [`SloClass::Premium`] is never down-laddered by load. Deadline
-//!   admission ([`AdmissionConfig`]) still runs after the ladder, so
-//!   every decision ends in an explicit [`Disposition`].
+//!   admission (the batch and stream engines' ingress step) still runs
+//!   after the ladder, so every decision ends in an explicit
+//!   [`Disposition`].
 //! * **Device circuit breakers.** Each device's transient-fault rate
 //!   (from its seeded [`gpusim::FaultPlan`]) is tracked over a sliding
 //!   window; a device exceeding [`BreakerConfig::max_faults`] is
@@ -46,30 +47,29 @@
 //!   device loss opens the breaker permanently and re-queues the
 //!   interrupted job ([`Disposition::Retried`](crate::batch::Disposition)).
 //!
+//! Every dispatch books stage-granular ([`StageSchedConfig::staged`])
+//! on the least-loaded free device.
+//!
 //! Determinism: arrivals, queue decisions, the DRR cycle, breaker
 //! transitions and settlement all run on the main thread in a fixed
 //! order keyed only on simulated time and tenant/job indices.
-//! Functional execution of a dispatch round may fan out across
-//! [`ServiceConfig::host_workers`] scoped threads, but results land in
-//! per-index slots and settlement replays them in dispatch order — the
-//! report is bit-identical across runs *and* across worker counts.
+//! Functional execution of a dispatch round fans out across host
+//! threads, as the batch engine's does, but results land in per-index
+//! slots and settlement replays them in dispatch order — the report is
+//! bit-identical across runs.
 
 use std::collections::{BTreeMap, VecDeque};
 
 use crate::batch::{
-    emit_settled, execute_all, execute_group, latency_summary, nearest_rank,
+    emit_settled, execute_all, execute_group, host_workers, latency_summary, nearest_rank,
     settle_staged_dispatch, Disposition, JobOutcome, LatencySummary, PlannedSolve,
 };
 use crate::job::{Job, Precision, SloClass, Solution, TenantId};
 use crate::microbatch::{dispatch_group_on, GroupDispatch};
-use crate::plan::ExecPlan;
 use crate::planner::Planner;
 use crate::pool::DevicePool;
-use crate::resilient::{
-    admit_job, emit_degraded, replay_transients, tombstone_outcome, AdmissionConfig,
-    AdmissionDecision,
-};
-use crate::scheduler::{DispatchPolicy, JobShape, StageSchedConfig};
+use crate::resilient::{admit, due_losses, emit_degraded, replay_transients, tombstone, Admitted};
+use crate::scheduler::{JobShape, StageSchedConfig};
 use mdls_obs::Event;
 
 /// Quotas and backlog pricing are denominated in predicted device-ms
@@ -79,6 +79,10 @@ const REFERENCE_DEVICE: usize = 0;
 
 /// Slack for float comparisons on the simulated clock.
 const EPS: f64 = 1e-9;
+
+/// Deficit-round-robin quantum: predicted device-ms granted per
+/// scheduler visit, times the tenant's weight.
+const DRR_QUANTUM_MS: f64 = 1.0;
 
 /// What a full tenant queue does with the next arrival.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -114,8 +118,8 @@ pub struct TenantSpec {
     pub id: TenantId,
     /// Human label for tables and bench JSON.
     pub name: &'static str,
-    /// Fair-share weight (deficit granted per scheduler visit is
-    /// `quantum_ms × weight`). Zero is clamped to one.
+    /// Fair-share weight (deficit granted per scheduler visit is the
+    /// 1 device-ms quantum × `weight`). Zero is clamped to one.
     pub weight: u32,
     /// Ingress queue capacity, jobs. Zero is clamped to one.
     pub queue_capacity: usize,
@@ -244,51 +248,19 @@ pub enum ExecutionMode {
     ModelOnly,
 }
 
-/// The full service-shell configuration.
-#[derive(Clone, Copy, Debug, PartialEq)]
+/// The service-shell configuration. Deadline admission, stage booking
+/// ([`StageSchedConfig::staged`]), least-loaded placement and the
+/// transient retry budget are fixed: no caller varies them.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct ServiceConfig {
     /// Fairness policy.
     pub policy: ServicePolicy,
-    /// DRR quantum, predicted device-ms granted per scheduler visit.
-    pub quantum_ms: f64,
-    /// Deadline admission (previewed against the surviving pool at
-    /// dispatch, after the overload ladder).
-    pub admission: AdmissionConfig,
     /// Overload degradation ladder thresholds.
     pub overload: OverloadConfig,
     /// Device circuit breakers.
     pub breaker: BreakerConfig,
-    /// Placement policy over the free devices of a dispatch round.
-    pub dispatch: DispatchPolicy,
-    /// Stage-granular booking knobs (shared with the staged engines).
-    pub sched: StageSchedConfig,
-    /// Cap on transient-fault replays per dispatch.
-    pub max_transient_retries: usize,
-    /// Base of the exponential transient-replay backoff, ms.
-    pub retry_backoff_ms: f64,
     /// Execute or model-only.
     pub mode: ExecutionMode,
-    /// Scoped host threads that run one dispatch round's functional
-    /// solves (≥ 1; never affects bits, bookings or events).
-    pub host_workers: usize,
-}
-
-impl Default for ServiceConfig {
-    fn default() -> Self {
-        ServiceConfig {
-            policy: ServicePolicy::WeightedFair,
-            quantum_ms: 1.0,
-            admission: AdmissionConfig::default(),
-            overload: OverloadConfig::default(),
-            breaker: BreakerConfig::default(),
-            dispatch: DispatchPolicy::LeastLoaded,
-            sched: StageSchedConfig::staged(),
-            max_transient_retries: 3,
-            retry_backoff_ms: 0.05,
-            mode: ExecutionMode::Functional,
-            host_workers: 1,
-        }
-    }
 }
 
 /// Per-SLO-class slice of one tenant's service.
@@ -441,6 +413,7 @@ struct RoundEntry {
 struct Shell<'a> {
     jobs: &'a [Job],
     cfg: &'a ServiceConfig,
+    sched: StageSchedConfig,
     planner: Planner,
     tenants: Vec<TenantState>,
     breakers: Vec<DeviceBreaker>,
@@ -473,26 +446,6 @@ impl<'a> Shell<'a> {
         fused.predicted_ms
     }
 
-    /// The reference plan a tombstone carries (preferring an alive
-    /// device's model, like the resilient engine's shed path).
-    fn tombstone_plan(&self, pool: &DevicePool, j: usize) -> (ExecPlan, usize) {
-        let device = pool
-            .devices()
-            .iter()
-            .find(|d| !d.is_lost())
-            .map(|d| d.id)
-            .unwrap_or(REFERENCE_DEVICE);
-        let job = &self.jobs[j];
-        let (plan, _) = self.planner.plan_fused(
-            pool.gpu(device),
-            job.rows(),
-            job.cols(),
-            self.cur_digits[j],
-            1,
-        );
-        (plan, device)
-    }
-
     fn shed_job(&mut self, pool: &mut DevicePool, j: usize, reason: &'static str, at_ms: f64) {
         let job = &self.jobs[j];
         pool.emit(|| Event::TenantShed {
@@ -501,11 +454,11 @@ impl<'a> Shell<'a> {
             at_ms,
             reason,
         });
-        let (plan, device) = self.tombstone_plan(pool, j);
-        self.outcomes[j] = Some(tombstone_outcome(
+        self.outcomes[j] = Some(tombstone(
+            pool,
+            &self.planner,
             job,
-            plan,
-            device,
+            self.cur_digits[j],
             Disposition::Shed,
             at_ms,
         ));
@@ -673,7 +626,7 @@ impl<'a> Shell<'a> {
                         // its deficit lasts (classic DRR)
                         return Some((t, j));
                     }
-                    let grant = self.cfg.quantum_ms * self.tenants[t].spec.weight.max(1) as f64;
+                    let grant = DRR_QUANTUM_MS * self.tenants[t].spec.weight.max(1) as f64;
                     self.tenants[t].deficit_ms += grant;
                     *rr += 1;
                 }
@@ -711,38 +664,27 @@ impl<'a> Shell<'a> {
         }
         let mut job = self.jobs[j].clone();
         job.target_digits = self.cur_digits[j];
-        match admit_job(
+        match admit(
             pool,
             &self.planner,
             &job,
-            self.cfg.sched.overlap,
+            self.sched.overlap,
             now,
-            &self.cfg.admission,
+            true,
+            now,
         ) {
-            AdmissionDecision::Admit => Some(job),
-            AdmissionDecision::Degrade(digits) => {
-                emit_degraded(pool, &job, digits);
-                self.cur_digits[j] = digits;
-                self.degraded[j] = true;
-                job.target_digits = digits;
+            Admitted::Run { digits, degraded } => {
+                if degraded {
+                    self.cur_digits[j] = digits;
+                    self.degraded[j] = true;
+                    job.target_digits = digits;
+                }
                 Some(job)
             }
-            AdmissionDecision::Shed(predicted_end) => {
+            Admitted::Shed(mut tombstone) => {
                 self.uncharge(t, j, false);
-                let (id, deadline) = (job.id, job.deadline_ms.unwrap_or(0.0));
-                pool.emit(|| Event::JobShed {
-                    job: id,
-                    deadline_ms: deadline,
-                    predicted_end_ms: predicted_end,
-                });
-                let (plan, device) = self.tombstone_plan(pool, j);
-                self.outcomes[j] = Some(tombstone_outcome(
-                    &self.jobs[j],
-                    plan,
-                    device,
-                    Disposition::Shed,
-                    now,
-                ));
+                tombstone.requested_digits = self.jobs[j].target_digits;
+                self.outcomes[j] = Some(*tombstone);
                 None
             }
         }
@@ -762,15 +704,7 @@ impl<'a> Shell<'a> {
     ) -> RoundEntry {
         let shape = JobShape::from(&job);
         let jobs = vec![job.id as usize];
-        let g = dispatch_group_on(
-            pool,
-            &self.planner,
-            jobs,
-            &shape,
-            device,
-            &self.cfg.sched,
-            now,
-        );
+        let g = dispatch_group_on(pool, &self.planner, jobs, &shape, device, &self.sched, now);
         RoundEntry {
             job_idx: j,
             tenant_idx: t,
@@ -781,42 +715,19 @@ impl<'a> Shell<'a> {
         }
     }
 
-    /// Pick the device for a non-probe dispatch among the free,
-    /// breaker-closed devices.
-    fn place(&self, pool: &DevicePool, job: &Job, now: f64) -> Option<usize> {
-        let free: Vec<usize> = pool
-            .devices()
+    /// Pick the device for a non-probe dispatch: the least-loaded of
+    /// the free, breaker-closed devices, ties to the lowest id.
+    fn place(&self, pool: &DevicePool, now: f64) -> Option<usize> {
+        pool.devices()
             .iter()
             .filter(|d| {
                 !d.is_lost()
                     && d.clock_ms() <= now + EPS
                     && self.breakers[d.id].state == BreakerState::Closed
             })
-            .map(|d| d.id)
-            .collect();
-        match self.cfg.dispatch {
-            DispatchPolicy::ShortestExpectedCompletion => free
-                .into_iter()
-                .map(|d| {
-                    let (plan, fused) = self.planner.plan_fused(
-                        pool.gpu(d),
-                        job.rows(),
-                        job.cols(),
-                        job.target_digits,
-                        1,
-                    );
-                    let reqs = fused.stage_reqs(ExecPlan::booked_stages(plan.corrections()));
-                    let end = pool.preview_stages(d, &reqs, self.cfg.sched.overlap, now);
-                    (d, end)
-                })
-                .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap().then(a.0.cmp(&b.0)))
-                .map(|(d, _)| d),
-            _ => free
-                .into_iter()
-                .map(|d| (d, pool.devices()[d].clock_ms()))
-                .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap().then(a.0.cmp(&b.0)))
-                .map(|(d, _)| d),
-        }
+            .map(|d| (d.id, d.clock_ms()))
+            .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap().then(a.0.cmp(&b.0)))
+            .map(|(d, _)| d)
     }
 
     /// Open `device`'s breaker at `at_ms` (quarantine via the pool's
@@ -852,25 +763,18 @@ impl<'a> Shell<'a> {
     /// Quarantine devices whose fault plan has sticky-lost them by
     /// `now` (no probe ever re-admits a sticky loss).
     fn process_sticky_losses(&mut self, pool: &mut DevicePool, now: f64) {
-        for d in 0..self.breakers.len() {
-            if pool.devices()[d].is_lost() {
-                continue;
-            }
-            if let Some(lost) = pool.gpu(d).fault.lost_at_ms() {
-                if lost <= now + EPS {
-                    pool.fail_device(d, lost);
-                    self.breakers[d].state = BreakerState::Open {
-                        until_ms: f64::INFINITY,
-                    };
-                }
-            }
+        for (d, lost) in due_losses(pool, now + EPS) {
+            pool.fail_device(d, lost);
+            self.breakers[d].state = BreakerState::Open {
+                until_ms: f64::INFINITY,
+            };
         }
     }
 
     /// Execute one round's dispatches: functionally (across
-    /// [`ServiceConfig::host_workers`] work-stealing host threads —
-    /// results come back in round order, so the worker count can never
-    /// change bits or order) or model-only.
+    /// work-stealing host threads — results come back in round order,
+    /// so the worker count can never change bits or order) or
+    /// model-only.
     fn execute_round(&self, pool: &DevicePool, round: &[RoundEntry]) -> Vec<PlannedSolve> {
         match self.cfg.mode {
             ExecutionMode::ModelOnly => round
@@ -882,8 +786,8 @@ impl<'a> Shell<'a> {
                 })
                 .collect(),
             ExecutionMode::Functional => {
-                let extra = self.cfg.sched.max_extra_passes;
-                execute_all(round, self.cfg.host_workers, |e| {
+                let extra = self.sched.max_extra_passes;
+                execute_all(round, host_workers(), |e| {
                     execute_group(pool.gpu(e.g.device), &[&e.job], &e.g.plan, extra)
                         .pop()
                         .expect("a singleton group solves one job")
@@ -917,19 +821,12 @@ impl<'a> Shell<'a> {
         }
         let passes_run = solved.corrections_run;
         let (refunded, extended) =
-            settle_staged_dispatch(pool, &mut e.g, &e.shape, passes_run, &self.cfg.sched);
+            settle_staged_dispatch(pool, &mut e.g, &e.shape, passes_run, &self.sched);
 
         // transient kernel faults inside the executed interval: one
         // backed-off replay each (time moves, bits do not), and one
         // breaker strike each
-        let hits = replay_transients(
-            pool,
-            &mut e.g,
-            self.cfg.max_transient_retries,
-            self.cfg.retry_backoff_ms,
-            self.cfg.sched.overlap,
-            e.job.id,
-        );
+        let hits = replay_transients(pool, &mut e.g, self.sched.overlap, e.job.id);
         if !hits.is_empty() {
             self.retried[e.job_idx] = true;
         }
@@ -1054,7 +951,7 @@ impl<'a> Shell<'a> {
             let Some(job) = self.pre_dispatch(pool, t, j, now) else {
                 continue;
             };
-            let Some(device) = self.place(pool, &job, now) else {
+            let Some(device) = self.place(pool, now) else {
                 // raced against nothing — defensive: put the job back
                 self.requeue(t, j);
                 break;
@@ -1086,9 +983,11 @@ impl<'a> Shell<'a> {
                 }
             }
             // a quota dry spell ends at a computable refill instant
-            // (the bucket value is as of `last_refill_ms`)
+            // (the bucket value is as of `last_refill_ms`) — unless the
+            // head costs more than the bucket can ever hold, which
+            // starves the tenant like a zero refill does
             if let (Some(q), Some(&head)) = (ts.spec.quota, ts.queue.front()) {
-                if q.refill_per_s > 0.0 {
+                if q.refill_per_s > 0.0 && q.burst_ms + EPS >= self.cost_ms[head] {
                     let need = self.cost_ms[head] - ts.bucket_ms;
                     if need > EPS {
                         let ready = ts.last_refill_ms + need * 1000.0 / q.refill_per_s;
@@ -1198,6 +1097,7 @@ pub fn serve(
     let mut shell = Shell {
         jobs,
         cfg,
+        sched: StageSchedConfig::staged(),
         planner: Planner::new(),
         tenants: states,
         breakers: (0..pool.devices().len())

@@ -30,9 +30,7 @@ use crate::job::Job;
 use crate::microbatch::{dispatch_group_staged, MicrobatchConfig};
 use crate::planner::Planner;
 use crate::pool::DevicePool;
-use crate::resilient::{
-    admit_job, emit_degraded, shed_at_ingress, AdmissionConfig, AdmissionDecision,
-};
+use crate::resilient::{admit, due_losses, tombstone, AdmissionConfig, Admitted};
 use crate::scheduler::{DispatchPolicy, JobShape, StageSchedConfig};
 use mdls_obs::Event;
 
@@ -152,11 +150,12 @@ where
 ///
 /// The stream is also **loss-aware**: before each pull, any device
 /// whose [`gpusim::FaultPlan`] sticky-loss threshold has come due on
-/// the simulated clock is failed, and when the alive set shrinks every
-/// *buffered* admission is re-previewed against the survivors — a
-/// verdict reached while the dead device still counted is stale, so
-/// unmeetable jobs re-shed (tombstones yield ahead of the next
-/// dispatch) and tight ones down-ladder in place.
+/// the survivors' simulated clock is failed, and when the alive set
+/// shrinks every *buffered* admission is re-previewed against the
+/// survivors — a verdict reached while the dead device still counted
+/// is stale, so unmeetable jobs re-shed (tombstones yield ahead of the
+/// next dispatch) and tight ones down-ladder in place. Once no device
+/// survives, every remaining job ends [`Disposition::Failed`].
 pub fn solve_stream_with<'p, I>(
     pool: &'p mut DevicePool,
     jobs: I,
@@ -209,7 +208,7 @@ where
     I: Iterator<Item = Job>,
 {
     /// Refill the reorder buffer from the input up to the window.
-    fn admit(&mut self) {
+    fn refill(&mut self) {
         while self.buffer.len() < self.window {
             match self.jobs.next() {
                 Some(job) => {
@@ -225,61 +224,82 @@ where
         }
     }
 
-    /// The tombstone outcome for a job turned away by admission —
-    /// shared by the pop-time preview and the loss-time re-preview.
-    fn shed_outcome(&mut self, job: &Job, predicted_end: f64) -> JobOutcome {
-        self.dispatched += 1;
-        shed_at_ingress(self.pool, &self.planner, job, predicted_end)
+    /// Run [`admit`] on `job` from `floor`, counting a shed job as
+    /// dispatched — shared by the pop-time preview and the loss-time
+    /// re-preview.
+    fn admit_at(&mut self, job: &Job, floor: f64) -> Admitted {
+        let (overlap, enabled) = (self.cfg.sched.overlap, self.cfg.admission.enabled);
+        let admitted = admit(
+            self.pool,
+            &self.planner,
+            job,
+            overlap,
+            floor,
+            enabled,
+            job.release(),
+        );
+        if matches!(admitted, Admitted::Shed(_)) {
+            self.dispatched += 1;
+        }
+        admitted
     }
 
     /// Apply sticky device losses that have come due on the simulated
-    /// clock, and — when the alive set shrinks — re-preview every
-    /// buffered admission against the survivors. A verdict previewed
-    /// while N devices were alive is stale on N−1: a job that fit its
-    /// deadline then may be unmeetable now, and dispatching it anyway
-    /// would book doomed work. Re-shed jobs tombstone straight into the
-    /// ready queue; down-laddered jobs stay in the reorder buffer at
-    /// the lower rung (remembering the requested digits so their
-    /// outcome reports [`Disposition::Degraded`]). With admission off
-    /// every buffered job re-admits as is.
+    /// clock of the survivors, and — when the alive set shrinks —
+    /// re-preview every buffered admission against the survivors. A
+    /// verdict previewed while N devices were alive is stale on N−1: a
+    /// job that fit its deadline then may be unmeetable now, and
+    /// dispatching it anyway would book doomed work. Re-shed jobs
+    /// tombstone straight into the ready queue; down-laddered jobs stay
+    /// in the reorder buffer at the lower rung (remembering the
+    /// requested digits so their outcome reports
+    /// [`Disposition::Degraded`]). With admission off every buffered job
+    /// re-admits as is.
     fn reconcile_losses(&mut self) {
-        let floor = self.pool.min_clock_ms();
-        let due: Vec<(usize, f64)> = self
-            .pool
-            .devices()
-            .iter()
-            .filter(|d| !d.is_lost())
-            .filter_map(|d| {
-                d.gpu
-                    .fault
-                    .lost_at_ms()
-                    .filter(|&at| at <= floor)
-                    .map(|at| (d.id, at))
-            })
-            .collect();
+        let due = due_losses(self.pool, self.pool.min_clock_ms());
         if due.is_empty() {
             return;
         }
         for &(id, at) in &due {
             self.pool.fail_device(id, at);
         }
-        let (overlap, adm) = (self.cfg.sched.overlap, self.cfg.admission);
         for mut q in std::mem::take(&mut self.buffer).into_vec() {
-            let release = q.job.release().max(self.pool.min_clock_ms());
-            match admit_job(self.pool, &self.planner, &q.job, overlap, release, &adm) {
-                AdmissionDecision::Admit => self.buffer.push(q),
-                AdmissionDecision::Degrade(digits) => {
-                    emit_degraded(self.pool, &q.job, digits);
-                    q.requested_digits = q.requested_digits.or(Some(q.job.target_digits));
-                    q.job.target_digits = digits;
+            let floor = q.job.release().max(self.pool.min_clock_ms());
+            match self.admit_at(&q.job, floor) {
+                Admitted::Run { digits, degraded } => {
+                    if degraded {
+                        q.requested_digits = q.requested_digits.or(Some(q.job.target_digits));
+                        q.job.target_digits = digits;
+                    }
                     self.buffer.push(q);
                 }
-                AdmissionDecision::Shed(predicted_end) => {
-                    let o = self.shed_outcome(&q.job, predicted_end);
-                    self.ready.push_back(o);
-                }
+                Admitted::Shed(tombstone) => self.ready.push_back(*tombstone),
             }
         }
+    }
+
+    /// Once every device is lost nothing can run: the next buffered or
+    /// unread job ends [`Disposition::Failed`], stamped at its release
+    /// or the last loss, whichever is later.
+    fn fail_next(&mut self) -> Option<JobOutcome> {
+        self.refill();
+        let job = self.buffer.pop()?.job;
+        self.dispatched += 1;
+        let last_loss = self
+            .pool
+            .devices()
+            .iter()
+            .filter_map(|d| d.lost_at_ms())
+            .fold(0.0, f64::max);
+        let at = job.release().max(last_loss);
+        Some(tombstone(
+            self.pool,
+            &self.planner,
+            &job,
+            job.target_digits,
+            Disposition::Failed,
+            at,
+        ))
     }
 }
 
@@ -300,8 +320,11 @@ where
         if let Some(o) = self.ready.pop_front() {
             return Some(o);
         }
+        if self.pool.alive_count() == 0 {
+            return self.fail_next();
+        }
         // admit, then reorder → dispatch the most urgent admitted job...
-        self.admit();
+        self.refill();
         let queued = self.buffer.pop()?;
         let mut job = queued.job;
         // ingress admission: preview the deadlined job against the
@@ -309,23 +332,14 @@ where
         let mut requested_digits = queued.requested_digits;
         let cfg = self.cfg;
         let floor = job.release().max(self.pool.min_clock_ms());
-        match admit_job(
-            self.pool,
-            &self.planner,
-            &job,
-            cfg.sched.overlap,
-            floor,
-            &cfg.admission,
-        ) {
-            AdmissionDecision::Admit => {}
-            AdmissionDecision::Degrade(digits) => {
-                emit_degraded(self.pool, &job, digits);
-                requested_digits = requested_digits.or(Some(job.target_digits));
-                job.target_digits = digits;
+        match self.admit_at(&job, floor) {
+            Admitted::Run { digits, degraded } => {
+                if degraded {
+                    requested_digits = requested_digits.or(Some(job.target_digits));
+                    job.target_digits = digits;
+                }
             }
-            AdmissionDecision::Shed(predicted_end) => {
-                return Some(self.shed_outcome(&job, predicted_end));
-            }
+            Admitted::Shed(tombstone) => return Some(*tombstone),
         }
         let shape = JobShape::from(&job);
         // `floor` — the earliest the group could possibly start: the
@@ -371,7 +385,7 @@ where
                 preferred = cap;
             }
             while group.len() < preferred {
-                self.admit();
+                self.refill();
                 match self.buffer.peek() {
                     // a member that has not arrived by the group's
                     // earliest feasible start would delay the whole

@@ -3,15 +3,16 @@
 //! fault-free run, admission down-ladders exactly to the rung it
 //! promised, and a sticky mid-batch device loss on a 4×V100 pool is
 //! survived with a 100% completion rate where the fail-the-batch
-//! baseline loses jobs.
+//! baseline loses jobs. The stream applies every sticky loss that
+//! comes due, and fails what is left once no device survives.
 
 use gpusim::{FaultPlan, Gpu};
 use mdls_matrix::HostMat;
 use mdls_pipeline::batch::Disposition;
 use mdls_pipeline::{
-    dispatch_group_staged, solve_batch_with, solve_stream_admitted, AdmissionConfig, DevicePool,
-    DispatchPolicy, EngineConfig, ExecPlan, Job, JobShape, MicrobatchConfig, Planner,
-    RecoveryPolicy, StageSchedConfig,
+    dispatch_group_staged, solve_batch_with, solve_stream_admitted, solve_stream_with,
+    AdmissionConfig, DevicePool, DispatchPolicy, EngineConfig, ExecPlan, Job, JobOutcome, JobShape,
+    MicrobatchConfig, Planner, RecoveryPolicy, StageSchedConfig,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -47,10 +48,7 @@ fn resilient(micro: MicrobatchConfig, recovery: RecoveryPolicy) -> EngineConfig 
 /// The chaos-benchmark baseline: a device loss fails every interrupted
 /// job instead of re-dispatching it.
 fn fail_all() -> RecoveryPolicy {
-    RecoveryPolicy {
-        redispatch: false,
-        ..RecoveryPolicy::default()
-    }
+    RecoveryPolicy { redispatch: false }
 }
 
 /// Property (i): recovery never moves or re-runs a span on an
@@ -365,5 +363,84 @@ fn admitted_stream_re_previews_buffer_after_device_loss() {
     assert_eq!(v.device, 0, "nothing may book on the lost device");
     if v.disposition == Disposition::Shed {
         assert!(v.residual.is_infinite());
+    }
+}
+
+/// Stream `jobs` through `pool` unfused with a window of 1 under the
+/// default (least-loaded) engine.
+fn stream_unfused(pool: &mut DevicePool, jobs: Vec<Job>) -> Vec<JobOutcome> {
+    let cfg = EngineConfig {
+        micro: MicrobatchConfig::off(),
+        ..EngineConfig::default()
+    };
+    solve_stream_with(pool, jobs, 1, &cfg).collect()
+}
+
+/// Regression: the stream's loss floor once counted lost devices, whose
+/// clocks stop moving, so after the first sticky loss no later loss
+/// ever came due and work kept starting on a dead device. On a
+/// homogeneous least-loaded pool both losses must apply, and no
+/// outcome may start on a device at or after its loss.
+#[test]
+fn stream_applies_every_sticky_loss_that_comes_due() {
+    let mut pool = DevicePool::homogeneous(&Gpu::v100(), 3);
+    pool.set_fault_plan(0, FaultPlan::none().with_device_lost(6.3));
+    pool.set_fault_plan(1, FaultPlan::none().with_device_lost(75.5));
+    let outcomes = stream_unfused(&mut pool, diag_jobs(60, 8, 25, 0x2105));
+    assert_eq!(outcomes.len(), 60);
+    assert!(pool.devices()[0].is_lost(), "first loss never applied");
+    assert!(pool.devices()[1].is_lost(), "second loss never applied");
+    assert!(!pool.devices()[2].is_lost());
+    assert!(
+        outcomes.iter().any(|o| o.device == 2 && o.start_ms >= 75.5),
+        "nothing ran after the second loss; vacuous"
+    );
+    for o in &outcomes {
+        assert!(
+            o.disposition.completed(),
+            "job {}: {:?}",
+            o.job_id,
+            o.disposition
+        );
+        if let Some(at) = pool.devices()[o.device].lost_at_ms() {
+            assert!(
+                o.start_ms < at,
+                "job {} started at {} on device {} lost at {at}",
+                o.job_id,
+                o.start_ms,
+                o.device
+            );
+        }
+    }
+}
+
+/// Regression: once every device is lost the stream used to panic on
+/// its next pull. It must end instead, with exactly one outcome per
+/// job, and every job that had not started before the losses `Failed`.
+#[test]
+fn stream_fails_the_rest_once_every_device_is_lost() {
+    let lost_at = 6.3;
+    let mut pool = DevicePool::homogeneous(&Gpu::v100(), 2);
+    pool.set_fault_plan(0, FaultPlan::none().with_device_lost(lost_at));
+    pool.set_fault_plan(1, FaultPlan::none().with_device_lost(lost_at));
+    let jobs = diag_jobs(40, 8, 25, 0x2106);
+    let outcomes = stream_unfused(&mut pool, jobs.clone());
+    assert_eq!(pool.alive_count(), 0);
+    let mut ids: Vec<u64> = outcomes.iter().map(|o| o.job_id).collect();
+    ids.sort_unstable();
+    assert_eq!(ids, (0..40).collect::<Vec<u64>>(), "one outcome per job");
+    let failed: Vec<&JobOutcome> = outcomes
+        .iter()
+        .filter(|o| o.disposition == Disposition::Failed)
+        .collect();
+    assert!(!failed.is_empty(), "no job outlived the pool; vacuous");
+    for o in &outcomes {
+        if o.start_ms >= lost_at {
+            assert_eq!(o.disposition, Disposition::Failed, "job {}", o.job_id);
+        }
+    }
+    for o in failed {
+        assert_eq!(o.end_ms, o.release_ms.max(lost_at), "job {}", o.job_id);
+        assert!(o.x.is_empty() && o.residual.is_infinite());
     }
 }

@@ -2,22 +2,26 @@
 //! bounds a light tenant's tail latency under an adversarial burster
 //! (strictly better than the FIFO baseline), quota exhaustion starves
 //! only the exhausted tenant, the service loop is bit- and
-//! schedule-deterministic across runs and host worker counts, and a
-//! tripped circuit breaker keeps non-probe work off the quarantined
-//! device until a probe succeeds.
+//! schedule-deterministic across runs and bit-identical to the
+//! reference interpreter, a tripped circuit breaker keeps non-probe
+//! work off the quarantined device until a probe succeeds, and the
+//! service's accounting holds for any seeded pool, tenant mix and
+//! fault schedule.
 
 use std::sync::Arc;
 
 use gpusim::{FaultPlan, Gpu};
 use mdls_matrix::HostMat;
+use mdls_obs::metrics::Metrics;
 use mdls_obs::{Event, Recorder};
 use mdls_pipeline::batch::Disposition;
 use mdls_pipeline::{
-    serve, Backpressure, BreakerConfig, DevicePool, ExecutionMode, Job, ServiceConfig,
-    ServicePolicy, ServiceReport, SloClass, TenantId, TenantSpec,
+    serve, solve_planned, Backpressure, BreakerConfig, DevicePool, ExecutionMode, Job,
+    OverloadConfig, Planner, ServiceConfig, ServicePolicy, ServiceReport, SloClass, TenantId,
+    TenantSpec,
 };
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 fn diag_jobs(
     count: usize,
@@ -194,9 +198,11 @@ fn quota_reserves_at_dispatch_so_one_round_cannot_overspend() {
 
 /// The service loop is bit- and schedule-deterministic: identical
 /// outcomes (solutions, placements, simulated times, dispositions)
-/// across repeated runs and across host worker counts.
+/// across repeated runs. A dispatch round executes on parallel host
+/// threads, so every completed outcome must also equal the reference
+/// interpreter's solve of its job and plan.
 #[test]
-fn service_loop_is_deterministic_across_runs_and_workers() {
+fn service_loop_is_deterministic_across_runs() {
     let t1 = TenantId(1);
     let t2 = TenantId(2);
     let mut jobs = diag_jobs(12, 0, 40, 0xde7e, t1, SloClass::Standard, 0.7);
@@ -213,18 +219,14 @@ fn service_loop_is_deterministic_across_runs_and_workers() {
         TenantSpec::new(t1, "alpha").with_weight(2),
         TenantSpec::new(t2, "beta"),
     ];
-    let run = |workers: usize| {
+    let run = || {
         let mut pool = DevicePool::homogeneous(&Gpu::v100(), 2);
         pool.set_fault_plan(1, FaultPlan::seeded(0x7ea5, 10.0, 1.5));
-        let cfg = ServiceConfig {
-            host_workers: workers,
-            ..ServiceConfig::default()
-        };
-        serve(&mut pool, &jobs, &specs, &cfg)
+        serve(&mut pool, &jobs, &specs, &ServiceConfig::default())
     };
-    let a = run(1);
-    let b = run(4);
-    let c = run(1);
+    let a = run();
+    let b = run();
+    let c = run();
     for (x, y) in a
         .outcomes
         .iter()
@@ -232,7 +234,7 @@ fn service_loop_is_deterministic_across_runs_and_workers() {
         .chain(a.outcomes.iter().zip(&c.outcomes))
     {
         assert_eq!(x.job_id, y.job_id);
-        assert_eq!(x.device, y.device, "placement must not depend on workers");
+        assert_eq!(x.device, y.device, "placement must not change across runs");
         assert_eq!(x.start_ms.to_bits(), y.start_ms.to_bits());
         assert_eq!(x.end_ms.to_bits(), y.end_ms.to_bits());
         assert_eq!(x.residual.to_bits(), y.residual.to_bits());
@@ -240,6 +242,28 @@ fn service_loop_is_deterministic_across_runs_and_workers() {
         assert_eq!(x.disposition, y.disposition);
     }
     assert_eq!(a.makespan_ms.to_bits(), b.makespan_ms.to_bits());
+    assert_eq!(a.makespan_ms.to_bits(), c.makespan_ms.to_bits());
+    assert_matches_reference_interpreter(&[Gpu::v100(), Gpu::v100()], &jobs, &a);
+}
+
+/// Every completed outcome of `report` is bit-identical to
+/// [`solve_planned`] of its job and plan on the device it ran on.
+fn assert_matches_reference_interpreter(gpus: &[Gpu], jobs: &[Job], report: &ServiceReport) {
+    let mut checked = 0;
+    for (job, o) in jobs.iter().zip(&report.outcomes) {
+        if !o.disposition.completed() {
+            continue;
+        }
+        let (x, residual) = solve_planned(&gpus[o.device], job, &o.plan);
+        assert_eq!(
+            x, o.x,
+            "job {}: service bits differ from solve_planned",
+            o.job_id
+        );
+        assert_eq!(residual.to_bits(), o.residual.to_bits(), "job {}", o.job_id);
+        checked += 1;
+    }
+    assert!(checked > 0, "no completed outcome to check; vacuous");
 }
 
 /// A flapping device trips its breaker; from the trip to the probe,
@@ -310,4 +334,285 @@ fn quarantined_device_gets_no_nonprobe_dispatches_until_probe_succeeds() {
             .any(|e| matches!(e, Event::StageBooked { device: 1, .. })),
         "re-admitted device must receive work again"
     );
+}
+
+/// Uniform index in `0..n`.
+fn pick(rng: &mut StdRng, n: usize) -> usize {
+    (rng.random_range(0.0..n as f64) as usize).min(n - 1)
+}
+
+/// One seeded service scenario: a mixed V100/P100 pool of 1–8 devices
+/// with seeded transients and at most one sticky loss, 1–4 tenants
+/// with random weights, queues, backpressure policies and quotas, and
+/// jobs of random shape, digits, SLO class, release and deadline.
+struct Scenario {
+    gpus: Vec<Gpu>,
+    faults: Vec<Option<FaultPlan>>,
+    jobs: Vec<Job>,
+    specs: Vec<TenantSpec>,
+    cfg: ServiceConfig,
+}
+
+fn scenario(seed: u64, job_count: usize, mode: ExecutionMode) -> Scenario {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let devices = 1 + pick(&mut rng, 8);
+    let gpus: Vec<Gpu> = (0..devices)
+        .map(|_| {
+            if pick(&mut rng, 2) == 0 {
+                Gpu::v100()
+            } else {
+                Gpu::p100()
+            }
+        })
+        .collect();
+    // the reference price of one mid-sized job scales every time knob
+    let unit = Planner::new()
+        .plan_fused(&Gpu::v100(), 8, 8, 25, 1)
+        .1
+        .predicted_ms;
+    let horizon = unit * job_count as f64;
+    let mut faults: Vec<Option<FaultPlan>> = (0..devices)
+        .map(|d| {
+            (pick(&mut rng, 3) == 0).then(|| {
+                FaultPlan::seeded(
+                    seed * 64 + d as u64,
+                    horizon,
+                    unit * (1.0 + pick(&mut rng, 8) as f64),
+                )
+            })
+        })
+        .collect();
+    if pick(&mut rng, 2) == 0 {
+        let d = pick(&mut rng, devices);
+        let at = rng.random_range(0.0..horizon / 2.0);
+        let plan = faults[d].take().unwrap_or_else(FaultPlan::none);
+        faults[d] = Some(plan.with_device_lost(at));
+    }
+
+    let tenants = 1 + pick(&mut rng, 4);
+    let backpressure = [
+        Backpressure::Reject,
+        Backpressure::ShedOldest,
+        Backpressure::Block,
+    ];
+    let specs: Vec<TenantSpec> = (0..tenants)
+        .map(|t| {
+            let spec = TenantSpec::new(TenantId(t as u32), "tenant")
+                .with_weight(1 + pick(&mut rng, 3) as u32)
+                .with_queue(1 + pick(&mut rng, 16), backpressure[pick(&mut rng, 3)]);
+            if pick(&mut rng, 2) == 0 {
+                let burst = unit * rng.random_range(1.0..8.0);
+                let refill = unit * rng.random_range(0.0..400.0);
+                spec.with_quota(burst, refill)
+            } else {
+                spec
+            }
+        })
+        .collect();
+
+    let digits = [12, 25, 40, 60];
+    let sizes = [6, 8, 10];
+    let mut release = 0.0;
+    let jobs: Vec<Job> = (0..job_count as u64)
+        .map(|id| {
+            let n = sizes[pick(&mut rng, sizes.len())];
+            let a = HostMat::<f64>::from_fn(n, n, |r, c| {
+                let u: f64 = multidouble::random::rand_real(&mut rng);
+                u + if r == c { 4.0 } else { 0.0 }
+            });
+            let b: Vec<f64> = (0..n)
+                .map(|_| multidouble::random::rand_real(&mut rng))
+                .collect();
+            release += rng.random_range(0.0..unit);
+            let mut job = Job::new(id, a, b, digits[pick(&mut rng, digits.len())])
+                .with_tenant(TenantId(pick(&mut rng, tenants) as u32))
+                .with_slo(SloClass::LADDER[pick(&mut rng, 3)])
+                .with_release_ms(release);
+            if pick(&mut rng, 3) == 0 {
+                job = job.with_deadline_ms(release + unit * rng.random_range(0.2..6.0));
+            }
+            job
+        })
+        .collect();
+
+    let overload = if pick(&mut rng, 2) == 0 {
+        let degrade = unit * rng.random_range(1.0..6.0);
+        OverloadConfig::thresholds(degrade, 2.0 * degrade)
+    } else {
+        OverloadConfig::default()
+    };
+    let policy = if pick(&mut rng, 4) == 0 {
+        ServicePolicy::Fifo
+    } else {
+        ServicePolicy::WeightedFair
+    };
+    let cfg = ServiceConfig {
+        policy,
+        overload,
+        breaker: BreakerConfig {
+            enabled: true,
+            window_ms: unit * 4.0,
+            max_faults: 2,
+            backoff_ms: unit * 2.0,
+        },
+        mode,
+    };
+    Scenario {
+        gpus,
+        faults,
+        jobs,
+        specs,
+        cfg,
+    }
+}
+
+/// Run `s` with a recorder attached; the report and the folded event
+/// stream.
+fn run_scenario(s: &Scenario) -> (ServiceReport, Metrics) {
+    let mut pool = DevicePool::new(s.gpus.clone());
+    for (d, f) in s.faults.iter().enumerate() {
+        if let Some(f) = f {
+            pool.set_fault_plan(d, f.clone());
+        }
+    }
+    let recorder = Arc::new(Recorder::new());
+    pool.attach_observer(recorder.clone());
+    let report = serve(&mut pool, &s.jobs, &s.specs, &s.cfg);
+    (report, Metrics::from_events(&recorder.events()))
+}
+
+/// The accounting every `serve` report must satisfy, whatever the
+/// pool, tenants and faults.
+fn assert_service_accounting(seed: u64, s: &Scenario, report: &ServiceReport, m: &Metrics) {
+    let ctx = format!("seed {seed}");
+    // exactly one outcome per job, in submission order
+    assert_eq!(report.outcomes.len(), s.jobs.len(), "{ctx}");
+    for (job, o) in s.jobs.iter().zip(&report.outcomes) {
+        assert_eq!(job.id, o.job_id, "{ctx}: outcome out of order");
+        assert_eq!(job.tenant, o.tenant, "{ctx}: job {}", job.id);
+    }
+    let completed = report
+        .outcomes
+        .iter()
+        .filter(|o| o.disposition.completed())
+        .count();
+
+    // per tenant: conservation, class rows, rejects inside sheds
+    let mut shed_total = 0;
+    for t in &report.tenants {
+        let submitted = s.jobs.iter().filter(|j| j.tenant == t.tenant).count();
+        assert_eq!(t.submitted, submitted, "{ctx}: tenant {:?}", t.tenant);
+        assert_eq!(
+            t.submitted,
+            t.completed + t.shed,
+            "{ctx}: tenant {:?} lost a job",
+            t.tenant
+        );
+        assert!(t.rejected <= t.shed, "{ctx}: tenant {:?}", t.tenant);
+        let sum =
+            |f: fn(&mdls_pipeline::ClassSummary) -> usize| t.classes.iter().map(f).sum::<usize>();
+        assert_eq!(sum(|c| c.submitted), t.submitted, "{ctx}: class rows");
+        assert_eq!(sum(|c| c.completed), t.completed, "{ctx}: class rows");
+        assert_eq!(sum(|c| c.shed), t.shed, "{ctx}: class rows");
+        assert_eq!(sum(|c| c.degraded), t.degraded, "{ctx}: class rows");
+        shed_total += t.shed;
+        // the recorder's per-tenant histogram saw every completion
+        let seen = m.tenant_latency.get(&t.tenant.0).map_or(0, |h| h.count());
+        assert_eq!(seen as usize, t.completed, "{ctx}: tenant {:?}", t.tenant);
+    }
+    assert_eq!(
+        report.tenants.iter().map(|t| t.submitted).sum::<usize>(),
+        s.jobs.len(),
+        "{ctx}"
+    );
+
+    // per device: a breaker closes only after a probe, and probes only
+    // after an open
+    for b in &report.breakers {
+        assert!(b.closes <= b.probes, "{ctx}: device {}: {b:?}", b.device);
+        assert!(b.probes <= b.opens, "{ctx}: device {}: {b:?}", b.device);
+    }
+
+    // the event stream and the report count the same things alike
+    assert_eq!(m.jobs as usize, completed, "{ctx}: settled events");
+    assert_eq!(
+        (m.jobs_shed + m.tenant_sheds) as usize,
+        shed_total,
+        "{ctx}: shed events"
+    );
+    assert_eq!(
+        m.quota_exhaustions as usize,
+        report
+            .tenants
+            .iter()
+            .map(|t| t.quota_exhaustions)
+            .sum::<usize>(),
+        "{ctx}"
+    );
+    let breaker_sum = |f: fn(&mdls_pipeline::BreakerSummary) -> usize| {
+        report.breakers.iter().map(f).sum::<usize>() as u64
+    };
+    assert_eq!(m.circuit_opens, breaker_sum(|b| b.opens), "{ctx}");
+    assert_eq!(m.circuit_probes, breaker_sum(|b| b.probes), "{ctx}");
+    assert_eq!(m.circuit_closes, breaker_sum(|b| b.closes), "{ctx}");
+    assert_eq!(
+        m.deadline_misses as usize, report.latency.deadline_misses,
+        "{ctx}"
+    );
+    assert!(
+        m.jobs_degraded as usize >= report.tenants.iter().map(|t| t.degraded).sum::<usize>(),
+        "{ctx}: a degraded outcome without its event"
+    );
+
+    // a metered tenant never settles more predicted device-ms than its
+    // bucket could ever have held: the burst plus the refill over the
+    // run. A dispatch is charged its reference-model cost at the
+    // requested digits, less its refund, plus its extension.
+    if s.cfg.policy == ServicePolicy::WeightedFair {
+        let planner = Planner::new();
+        for spec in &s.specs {
+            let Some(q) = spec.quota else { continue };
+            let mut spend = 0.0;
+            let mut charged = 0usize;
+            for (job, o) in s.jobs.iter().zip(&report.outcomes) {
+                if job.tenant != spec.id || !o.disposition.completed() {
+                    continue;
+                }
+                let (_, fused) =
+                    planner.plan_fused(&s.gpus[0], job.rows(), job.cols(), job.target_digits, 1);
+                spend += fused.predicted_ms - o.refunded_ms + o.extended_ms;
+                charged += 1;
+            }
+            let budget = q.burst_ms + q.refill_per_s * report.makespan_ms / 1000.0;
+            assert!(
+                spend <= budget + 1e-9 * (1 + charged) as f64,
+                "{ctx}: tenant {:?} settled {spend} device-ms of a {budget} budget",
+                spec.id
+            );
+        }
+    }
+}
+
+/// Seeded accounting invariants of the service shell over pools of 1–8
+/// mixed devices, random tenant mixes, transients and sticky losses
+/// (model-only, so every seed is cheap).
+#[test]
+fn service_accounting_holds_for_any_seed() {
+    for seed in 0..32u64 {
+        let s = scenario(seed, 48, ExecutionMode::ModelOnly);
+        let (report, m) = run_scenario(&s);
+        assert_service_accounting(seed, &s, &report, &m);
+    }
+}
+
+/// The same invariants on one small functional scenario, where
+/// execution also refunds and extends bookings, and every completed
+/// outcome is bit-identical to the reference interpreter.
+#[test]
+fn functional_service_accounting_and_bits_hold() {
+    let seed = 0x5e7;
+    let s = scenario(seed, 16, ExecutionMode::Functional);
+    let (report, m) = run_scenario(&s);
+    assert_service_accounting(seed, &s, &report, &m);
+    assert_matches_reference_interpreter(&s.gpus, &s.jobs, &report);
 }
