@@ -11,9 +11,13 @@
 //! of a launch must write disjoint elements (this is upheld by every
 //! kernel in this workspace and spot-checked by the sequential/parallel
 //! equivalence tests).
+//!
+//! Accesses are plain loads and stores: no traffic is counted here. A
+//! launch's global memory bytes come from its analytic
+//! [`KernelCost`](crate::KernelCost), the same for functional and
+//! model-only runs.
 
 use core::cell::UnsafeCell;
-use core::sync::atomic::{AtomicU64, Ordering};
 
 use multidouble::MdScalar;
 
@@ -30,10 +34,6 @@ pub struct DeviceBuf<S: MdScalar> {
     /// plane-major storage: `planes[p][i]` is plane `p` of element `i`.
     data: Vec<Cell64>,
     len: usize,
-    /// Elements read through `get` (raw traffic counter).
-    reads: AtomicU64,
-    /// Elements written through `set`.
-    writes: AtomicU64,
     _marker: core::marker::PhantomData<S>,
 }
 
@@ -45,8 +45,6 @@ impl<S: MdScalar> DeviceBuf<S> {
         DeviceBuf {
             data,
             len,
-            reads: AtomicU64::new(0),
-            writes: AtomicU64::new(0),
             _marker: core::marker::PhantomData,
         }
     }
@@ -57,8 +55,6 @@ impl<S: MdScalar> DeviceBuf<S> {
         DeviceBuf {
             data: Vec::new(),
             len,
-            reads: AtomicU64::new(0),
-            writes: AtomicU64::new(0),
             _marker: core::marker::PhantomData,
         }
     }
@@ -87,7 +83,6 @@ impl<S: MdScalar> DeviceBuf<S> {
     #[inline]
     pub fn get(&self, i: usize) -> S {
         debug_assert!(i < self.len, "index {i} out of range {}", self.len);
-        self.reads.fetch_add(1, Ordering::Relaxed);
         let mut planes = [0.0f64; 16];
         for p in 0..S::PLANES {
             // Safety: in-bounds; concurrent reads are fine.
@@ -100,7 +95,6 @@ impl<S: MdScalar> DeviceBuf<S> {
     #[inline]
     pub fn set(&self, i: usize, v: S) {
         debug_assert!(i < self.len, "index {i} out of range {}", self.len);
-        self.writes.fetch_add(1, Ordering::Relaxed);
         for p in 0..S::PLANES {
             // Safety: in-bounds; disjoint-write contract per launch.
             unsafe {
@@ -115,15 +109,11 @@ impl<S: MdScalar> DeviceBuf<S> {
         for (i, v) in host.iter().enumerate() {
             self.set(i, *v);
         }
-        // uploads are not kernel traffic
-        self.writes.fetch_sub(host.len() as u64, Ordering::Relaxed);
     }
 
     /// Device-to-host copy.
     pub fn download(&self) -> Vec<S> {
-        let out: Vec<S> = (0..self.len).map(|i| self.get(i)).collect();
-        self.reads.fetch_sub(self.len as u64, Ordering::Relaxed);
-        out
+        (0..self.len).map(|i| self.get(i)).collect()
     }
 
     /// Raw view of one limb plane (for layout tests).
@@ -134,21 +124,6 @@ impl<S: MdScalar> DeviceBuf<S> {
             // and no kernel is running while a layout test snapshots.
             .map(|i| unsafe { *self.data[self.plane_idx(plane, i)].0.get() })
             .collect()
-    }
-
-    /// Raw element traffic counters `(reads, writes)` accumulated by
-    /// kernel accesses.
-    pub fn traffic(&self) -> (u64, u64) {
-        (
-            self.reads.load(Ordering::Relaxed),
-            self.writes.load(Ordering::Relaxed),
-        )
-    }
-
-    /// Reset the traffic counters.
-    pub fn reset_traffic(&self) {
-        self.reads.store(0, Ordering::Relaxed);
-        self.writes.store(0, Ordering::Relaxed);
     }
 }
 
@@ -239,24 +214,11 @@ mod tests {
     }
 
     #[test]
-    fn traffic_counters() {
-        let buf = DeviceBuf::<Qd>::zeroed(4);
-        buf.set(0, Qd::ONE);
-        let _ = buf.get(0);
-        let _ = buf.get(1);
-        assert_eq!(buf.traffic(), (2, 1));
-        buf.reset_traffic();
-        assert_eq!(buf.traffic(), (0, 0));
-    }
-
-    #[test]
     fn upload_download_roundtrip() {
         let host = vec![Qd::from_f64(1.0), Qd::PI, Qd::from_f64(-3.25)];
         let buf = DeviceBuf::<Qd>::zeroed(3);
         buf.upload(&host);
         assert_eq!(buf.download(), host);
-        // transfers do not count as kernel traffic
-        assert_eq!(buf.traffic(), (0, 0));
     }
 
     #[test]

@@ -10,28 +10,27 @@
 use crate::eft::two_sum;
 use crate::fp::Fp;
 
-/// Maximum intermediate expansion length used anywhere in this crate
-/// (octo double multiplication produces at most 64 partial terms).
-pub const MAX_TERMS: usize = 80;
-
-/// A fixed-capacity scratch expansion, so renormalization never allocates.
-pub struct Scratch<F: Fp> {
-    buf: [F; MAX_TERMS],
+/// A scratch expansion of exactly `CAP` terms, so renormalization never
+/// allocates. Every producer pushes a fixed number of terms and sizes its
+/// scratch to that number (for example 16 for a quad double product, 64
+/// for an octo double one).
+pub struct Scratch<F: Fp, const CAP: usize> {
+    buf: [F; CAP],
     len: usize,
 }
 
-impl<F: Fp> Default for Scratch<F> {
+impl<F: Fp, const CAP: usize> Default for Scratch<F, CAP> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<F: Fp> Scratch<F> {
+impl<F: Fp, const CAP: usize> Scratch<F, CAP> {
     /// An empty scratch expansion.
     #[inline]
     pub fn new() -> Self {
         Scratch {
-            buf: [F::ZERO; MAX_TERMS],
+            buf: [F::ZERO; CAP],
             len: 0,
         }
     }
@@ -40,7 +39,6 @@ impl<F: Fp> Scratch<F> {
     /// magnitude order — diagonal by diagonal for products).
     #[inline(always)]
     pub fn push(&mut self, x: F) {
-        debug_assert!(self.len < MAX_TERMS);
         self.buf[self.len] = x;
         self.len += 1;
     }
@@ -108,7 +106,7 @@ pub fn vec_sum_err_branch<F: Fp>(e: &[F], out: &mut [F]) {
     }
 }
 
-/// Renormalize an intermediate expansion into `out.len()` components.
+/// Renormalize a full intermediate expansion into `N` components.
 ///
 /// The scratch terms are first sorted by decreasing magnitude — producers
 /// push terms in roughly that order already, but sparse operands (limbs
@@ -118,18 +116,19 @@ pub fn vec_sum_err_branch<F: Fp>(e: &[F], out: &mut [F]) {
 /// operation tallies. A second pass over the compact result tightens
 /// components that may still overlap after heavy cancellation.
 #[inline]
-pub fn renormalize<F: Fp>(scratch: &mut Scratch<F>, out: &mut [F]) {
+pub fn renormalize<F: Fp, const CAP: usize, const N: usize>(
+    scratch: &mut Scratch<F, CAP>,
+    out: &mut [F; N],
+) {
+    debug_assert_eq!(scratch.terms().len(), CAP, "scratch not filled");
     sort_by_magnitude(scratch.terms_mut());
     vec_sum(scratch.terms_mut());
     vec_sum_err_branch(scratch.terms(), out);
     // Second normalization pass over the compact result: cheap (out is
     // short) and makes the output provably ulp-nonoverlapping.
     vec_sum(out);
-    let mut tmp = [F::ZERO; 16];
-    debug_assert!(out.len() <= 16);
-    let n = out.len();
-    tmp[..n].copy_from_slice_fp(out);
-    vec_sum_err_branch(&tmp[..n], out);
+    let first = *out;
+    vec_sum_err_branch(&first, out);
 }
 
 /// Insertion sort by decreasing `|value|` (branch-efficient for the
@@ -145,20 +144,6 @@ pub fn sort_by_magnitude<F: Fp>(x: &mut [F]) {
             j -= 1;
         }
         x[j] = v;
-    }
-}
-
-/// Helper trait: `copy_from_slice` for `F: Fp` without `Copy` slice bounds
-/// noise at call sites.
-trait CopySliceExt<F: Fp> {
-    fn copy_from_slice_fp(&mut self, src: &[F]);
-}
-impl<F: Fp> CopySliceExt<F> for [F] {
-    #[inline]
-    fn copy_from_slice_fp(&mut self, src: &[F]) {
-        for (d, s) in self.iter_mut().zip(src.iter()) {
-            *d = *s;
-        }
     }
 }
 
@@ -188,7 +173,7 @@ mod tests {
 
     #[test]
     fn renormalize_compacts_to_nonoverlapping() {
-        let mut s = Scratch::<f64>::new();
+        let mut s = Scratch::<f64, 5>::new();
         // a deliberately overlapping pile of terms
         for t in [
             1.0,
@@ -216,7 +201,7 @@ mod tests {
 
     #[test]
     fn renormalize_handles_zeros_and_cancellation() {
-        let mut s = Scratch::<f64>::new();
+        let mut s = Scratch::<f64, 6>::new();
         for t in [1.0, -1.0, 0.0, 2f64.powi(-60), 0.0, -2f64.powi(-61)] {
             s.push(t);
         }

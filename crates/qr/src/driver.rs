@@ -81,7 +81,6 @@ impl<S: MdScalar> QrDeviceState<S> {
                 self.q.set(i, j, if i == j { S::one() } else { S::zero() });
             }
         }
-        self.q.buf.reset_traffic();
     }
 }
 
